@@ -13,8 +13,6 @@
 //!                                                # points-to solver comparison
 //! reproduce edits [--scale N] [--edits N] [--assert-edit-ratio]
 //!                                                # incremental edit re-analysis vs from-scratch
-//! reproduce demand [--scale N] [--assert-slice-fraction F] [--assert-no-drift]
-//!                                                # demand-driven query tier vs exhaustive
 //! reproduce null [--scale N] [--assert-no-drift]
 //!                                                # null-dereference client vs ground truth
 //! reproduce incremental [--budget N] [--apps a,b,c] [--cache-dir DIR]
@@ -22,7 +20,7 @@
 //! reproduce serve [--apps a,b,c] [--rounds N]    # resident daemon vs cold pipeline
 //! reproduce all [--budget N]                     # everything
 //!
-//! snapshot options (table1 / jobs / pta / edits / demand / null / serve / all; table1 and all include the pta breakdown):
+//! snapshot options (table1 / jobs / pta / edits / null / serve / all; table1 and all include the pta breakdown):
 //!   --snapshot-out <path>   where to write the perf snapshot JSON
 //!                           (default BENCH_<unix-time>.json)
 //!   --no-snapshot           skip writing the snapshot
@@ -64,17 +62,6 @@
 //! from-scratch propagations — the CI guard for the incremental-edit
 //! pipeline.
 //!
-//! The `demand` mode queries every global of every suite app and of the
-//! generated corpus at each scale `1..=N` (default `--scale 16`) through
-//! the demand-driven points-to tier, printing per-query latency
-//! quantiles and slice fractions. Every answer is gated fact-by-fact
-//! against the exhaustive oracle, so a non-zero `drift` column means a
-//! demand traversal produced a wrong fact (the gate corrected it);
-//! `--assert-no-drift` fails the process on any drift, and
-//! `--assert-slice-fraction F` fails it when the worst per-query slice
-//! fraction on the largest scaled corpus exceeds `F` — the CI guard that
-//! demand queries stay O(query), not O(program).
-//!
 //! The `null` mode runs the null-dereference client over every suite app
 //! and the generated null corpus at doubling scales up to `--scale N`
 //! (default 16), pushing every may-null dereference site through the
@@ -92,10 +79,9 @@
 use apps::BenchApp;
 use bench::{
     admissible_jobs_sweep, format_table1_row, perf_snapshot_json_full, pta_walltime_crossover,
-    run_demand_bench, run_edit_bench, run_jobs_sweep, run_loop_ablation, run_null_bench,
-    run_pta_bench, run_repr_comparison, run_simplification_ablation, run_table1_row,
-    table1_header, DemandBenchPoint, EditBenchPoint, JobsSweepPoint, NullBenchPoint,
-    PtaBenchPoint, ServeLatencyPoint, Table1Row,
+    run_edit_bench, run_jobs_sweep, run_loop_ablation, run_null_bench, run_pta_bench,
+    run_repr_comparison, run_simplification_ablation, run_table1_row, table1_header,
+    EditBenchPoint, JobsSweepPoint, NullBenchPoint, PtaBenchPoint, ServeLatencyPoint, Table1Row,
 };
 use symex::{Representation, SymexConfig};
 
@@ -162,14 +148,12 @@ fn write_snapshot(
     pta: &[PtaBenchPoint],
     serve: &[ServeLatencyPoint],
     edits: &[EditBenchPoint],
-    demand: &[DemandBenchPoint],
     null: &[NullBenchPoint],
 ) {
     if (rows.is_empty()
         && pta.is_empty()
         && serve.is_empty()
         && edits.is_empty()
-        && demand.is_empty()
         && null.is_empty())
         || args.iter().any(|a| a == "--no-snapshot")
     {
@@ -186,7 +170,7 @@ fn write_snapshot(
         .cloned()
         .unwrap_or_else(|| format!("BENCH_{unix_time_s}.json"));
     let payload =
-        perf_snapshot_json_full(rows, unix_time_s, budget, sweep, pta, serve, edits, demand, null);
+        perf_snapshot_json_full(rows, unix_time_s, budget, sweep, pta, serve, edits, null);
     match std::fs::write(&path, payload) {
         Ok(()) => println!("perf snapshot written to {path}"),
         Err(e) => eprintln!("warning: cannot write snapshot {path}: {e}"),
@@ -364,78 +348,6 @@ fn edits_bench(scale: usize, max_edits: usize, assert_ratio: bool) -> Vec<EditBe
                  corpus ({pct:.1}%)"
             );
             std::process::exit(1);
-        }
-    }
-    points
-}
-
-/// Runs the demand-tier benchmark and prints it as a table. With
-/// `assert_no_drift`, any oracle-gate correction exits non-zero; with
-/// `max_fraction`, the worst per-query slice fraction on the largest
-/// scaled corpus must stay within the bound.
-fn demand_bench(
-    scale: usize,
-    max_fraction: Option<f64>,
-    assert_no_drift: bool,
-) -> Vec<DemandBenchPoint> {
-    println!("== demand-driven points-to: per-query slices vs exhaustive (scales 1..={scale}) ==");
-    println!(
-        "{:<14} {:>7} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9} {:>6} {:>9}",
-        "Program",
-        "queries",
-        "p50(us)",
-        "p99(us)",
-        "max(us)",
-        "mean frac",
-        "max frac",
-        "fallback",
-        "drift",
-        "nodes"
-    );
-    let points = run_demand_bench(scale);
-    let mut drift_total = 0;
-    for p in &points {
-        drift_total += p.drift;
-        println!(
-            "{:<14} {:>7} {:>9} {:>9} {:>9} {:>9.1}% {:>9.1}% {:>9} {:>6} {:>9}",
-            p.program,
-            p.queries,
-            p.p50_us,
-            p.p99_us,
-            p.max_us,
-            100.0 * p.mean_slice_fraction,
-            100.0 * p.max_slice_fraction,
-            p.fallbacks,
-            p.drift,
-            p.nodes_total,
-        );
-    }
-    if drift_total > 0 {
-        println!("drift: {drift_total} demand facts were corrected by the oracle gate");
-        if assert_no_drift {
-            eprintln!("FAIL: demand answers drifted from the exhaustive oracle");
-            std::process::exit(1);
-        }
-    } else {
-        println!("drift: 0 (every demand answer byte-identical to the exhaustive result)");
-    }
-    let scaled_name = format!("scaled-{scale}");
-    if let Some(p) = points.iter().find(|p| p.program == scaled_name) {
-        println!(
-            "scaled corpus: worst query touched {:.1}% of {} copy-graph nodes",
-            100.0 * p.max_slice_fraction,
-            p.nodes_total
-        );
-        if let Some(bound) = max_fraction {
-            if p.max_slice_fraction > bound {
-                eprintln!(
-                    "FAIL: worst demand slice fraction on {scaled_name} exceeded {:.0}% \
-                     ({:.1}%)",
-                    100.0 * bound,
-                    100.0 * p.max_slice_fraction
-                );
-                std::process::exit(1);
-            }
         }
     }
     points
@@ -778,7 +690,7 @@ fn main() {
             let rows = table1(&apps, budget);
             println!();
             let points = pta_bench(scale, false);
-            write_snapshot(&args, &rows, budget, &[], &points, &[], &[], &[], &[]);
+            write_snapshot(&args, &rows, budget, &[], &points, &[], &[], &[]);
         }
         "table2" => table2(&apps, budget),
         "simplification" => simplification(&apps, budget),
@@ -787,7 +699,7 @@ fn main() {
         "jobs" => {
             let gate = args.iter().any(|a| a == "--assert-scaling");
             let (points, rows) = jobs_sweep(&apps, budget, gate);
-            write_snapshot(&args, &rows, budget, &points, &[], &[], &[], &[], &[]);
+            write_snapshot(&args, &rows, budget, &points, &[], &[], &[], &[]);
         }
         "serve" => {
             let rounds = args
@@ -797,7 +709,7 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(3);
             let (ok, points) = serve_bench(&apps, rounds);
-            write_snapshot(&args, &[], budget, &[], &[], &points, &[], &[], &[]);
+            write_snapshot(&args, &[], budget, &[], &[], &points, &[], &[]);
             if !ok {
                 std::process::exit(1);
             }
@@ -805,7 +717,7 @@ fn main() {
         "pta" => {
             let gate = args.iter().any(|a| a == "--assert-fewer-propagations");
             let points = pta_bench(scale, gate);
-            write_snapshot(&args, &[], budget, &[], &points, &[], &[], &[], &[]);
+            write_snapshot(&args, &[], budget, &[], &points, &[], &[], &[]);
         }
         "edits" => {
             let max_edits = args
@@ -816,22 +728,12 @@ fn main() {
                 .unwrap_or(16);
             let gate = args.iter().any(|a| a == "--assert-edit-ratio");
             let points = edits_bench(scale, max_edits, gate);
-            write_snapshot(&args, &[], budget, &[], &[], &[], &points, &[], &[]);
-        }
-        "demand" => {
-            let max_fraction = args
-                .iter()
-                .position(|a| a == "--assert-slice-fraction")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok());
-            let no_drift = args.iter().any(|a| a == "--assert-no-drift");
-            let points = demand_bench(scale, max_fraction, no_drift);
-            write_snapshot(&args, &[], budget, &[], &[], &[], &[], &points, &[]);
+            write_snapshot(&args, &[], budget, &[], &[], &[], &points, &[]);
         }
         "null" => {
             let no_drift = args.iter().any(|a| a == "--assert-no-drift");
             let points = null_bench(scale, no_drift);
-            write_snapshot(&args, &[], budget, &[], &[], &[], &[], &[], &points);
+            write_snapshot(&args, &[], budget, &[], &[], &[], &[], &points);
         }
         "incremental" => {
             let root = args
@@ -859,12 +761,12 @@ fn main() {
             loops();
             println!();
             let points = pta_bench(scale, false);
-            write_snapshot(&args, &rows, budget, &[], &points, &[], &[], &[], &[]);
+            write_snapshot(&args, &rows, budget, &[], &points, &[], &[], &[]);
         }
         other => {
             eprintln!(
                 "unknown mode {other}; use \
-                 table1|table2|simplification|stats|loops|jobs|pta|edits|demand|null|incremental|serve|all"
+                 table1|table2|simplification|stats|loops|jobs|pta|edits|null|incremental|serve|all"
             );
             std::process::exit(2);
         }

@@ -698,140 +698,6 @@ pub fn run_edit_bench(scale: usize, max_edits: usize) -> Vec<EditBenchPoint> {
     points
 }
 
-/// Aggregated measurements of demand-driven points-to queries on one
-/// program: one `DemandPta::query_global` per global, each answer gated
-/// fact-by-fact against the exhaustive oracle (so `drift` counts the
-/// facts the gate had to correct — 0 means byte-identical throughout).
-#[derive(Clone, Debug)]
-pub struct DemandBenchPoint {
-    /// Program name (an app, or `scaled-N` for the generated corpus).
-    pub program: String,
-    /// Generator scale, when the program came from [`apps::scale`].
-    pub scale: Option<usize>,
-    /// Demand queries issued (one per global).
-    pub queries: u64,
-    /// Median per-query latency, microseconds (nearest rank).
-    pub p50_us: u64,
-    /// 99th-percentile per-query latency, microseconds.
-    pub p99_us: u64,
-    /// Worst per-query latency, microseconds.
-    pub max_us: u64,
-    /// Mean per-query slice fraction (nodes touched / total copy-graph
-    /// representatives).
-    pub mean_slice_fraction: f64,
-    /// Worst per-query slice fraction.
-    pub max_slice_fraction: f64,
-    /// Queries that exhausted their budget and fell back to the oracle.
-    pub fallbacks: u64,
-    /// Demand-computed facts the oracle gate had to replace (0 = every
-    /// answer byte-identical to the exhaustive result).
-    pub drift: u64,
-    /// Copy-graph representatives in the traversal index — the
-    /// denominator of every slice fraction.
-    pub nodes_total: u64,
-    /// Wall time of the exhaustive solve + index build the queries
-    /// amortize, microseconds.
-    pub build_us: u64,
-}
-
-impl DemandBenchPoint {
-    /// A structured JSON view of the point for the snapshot's `demand`
-    /// section.
-    pub fn to_value(&self) -> obs::json::Value {
-        use obs::json::Value;
-        let mut fields = vec![
-            ("program".to_owned(), Value::str(&self.program)),
-            ("queries".to_owned(), Value::uint(self.queries)),
-            ("p50_us".to_owned(), Value::uint(self.p50_us)),
-            ("p99_us".to_owned(), Value::uint(self.p99_us)),
-            ("max_us".to_owned(), Value::uint(self.max_us)),
-            ("mean_slice_fraction".to_owned(), Value::Float(self.mean_slice_fraction)),
-            ("max_slice_fraction".to_owned(), Value::Float(self.max_slice_fraction)),
-            ("fallbacks".to_owned(), Value::uint(self.fallbacks)),
-            ("drift".to_owned(), Value::uint(self.drift)),
-            ("nodes_total".to_owned(), Value::uint(self.nodes_total)),
-            ("build_us".to_owned(), Value::uint(self.build_us)),
-        ];
-        if let Some(sc) = self.scale {
-            fields.insert(1, ("scale".to_owned(), Value::uint(sc as u64)));
-        }
-        Value::Obj(fields)
-    }
-}
-
-/// Builds one demand tier over `program` and queries every global once,
-/// cold (no slice-cache hits inflate the latencies: each global is asked
-/// exactly once).
-pub fn measure_demand_point(
-    name: &str,
-    scale: Option<usize>,
-    program: &tir::Program,
-    policy: &pta::ContextPolicy,
-) -> DemandBenchPoint {
-    let opts = pta::PtaOptions { solver: pta::SolverKind::Demand, ..Default::default() };
-    let t0 = Instant::now();
-    let mut demand = pta::DemandPta::analyze(program, policy.clone(), &opts);
-    let build_us = t0.elapsed().as_micros() as u64;
-
-    let mut query_us = Vec::new();
-    let mut max_frac = 0.0f64;
-    for g in program.global_ids() {
-        let t = Instant::now();
-        let (partial, st) = demand.query_global(program, g);
-        query_us.push(t.elapsed().as_micros() as u64);
-        std::hint::black_box(&partial);
-        if st.slice_fraction > max_frac {
-            max_frac = st.slice_fraction;
-        }
-    }
-    let stats = *demand.stats();
-    let mut window = obs::SlidingWindow::new(query_us.len().max(1));
-    for &us in &query_us {
-        window.push(us);
-    }
-    DemandBenchPoint {
-        program: name.to_owned(),
-        scale,
-        queries: stats.queries,
-        p50_us: window.quantile(0.5).unwrap_or(0),
-        p99_us: window.quantile(0.99).unwrap_or(0),
-        max_us: window.max().unwrap_or(0),
-        mean_slice_fraction: stats.mean_slice_fraction(),
-        max_slice_fraction: max_frac,
-        fallbacks: stats.fallbacks,
-        drift: stats.drift,
-        nodes_total: demand.total_nodes() as u64,
-        build_us,
-    }
-}
-
-/// Benchmarks the demand tier over every suite app and the generated
-/// corpus at each scale in `1..=max_scale`. Returns one aggregated point
-/// per program, apps first, then `scaled-1` through `scaled-N` — the
-/// scaled run shows whether per-query latency grows with program size or
-/// with slice size.
-pub fn run_demand_bench(max_scale: usize) -> Vec<DemandBenchPoint> {
-    let mut points = Vec::new();
-    for app in apps::suite::all_apps() {
-        points.push(measure_demand_point(
-            app.name,
-            None,
-            &app.program,
-            &builder::container_policy(&app),
-        ));
-    }
-    for scale in 1..=max_scale.max(1) {
-        let scaled = apps::scale::scaled_program(scale);
-        points.push(measure_demand_point(
-            &format!("scaled-{scale}"),
-            Some(scale),
-            &scaled,
-            &pta::ContextPolicy::Insensitive,
-        ));
-    }
-    points
-}
-
 /// One measured point of the null-dereference client benchmark: every
 /// candidate dereference site of one program pushed through the full
 /// refutation stack, with the jobs-1 report byte-compared against a
@@ -1103,9 +969,9 @@ pub fn format_table1_row(r: &Table1Row) -> String {
 /// [`perf_snapshot_json`]). Version 3 added the `serve` section
 /// (daemon latency quantiles + per-phase cost splits); version 4 added
 /// the `edits` section (per-edit latency quantiles + propagation ratio
-/// of incremental edit re-analysis); version 5 added the `demand`
-/// section (per-query latency quantiles + slice fractions of the
-/// demand-driven points-to tier); version 6 added the `null` section
+/// of incremental edit re-analysis); version 5 added an optional
+/// `demand` section, since dropped along with the demand-driven
+/// points-to tier it measured; version 6 added the `null` section
 /// ([`NullBenchPoint`]: null-dereference client verdicts + drift vs
 /// generator ground truth) and made the `jobs_sweep` section refuse to
 /// appear at all on single-CPU hosts (see [`admissible_jobs_sweep`])
@@ -1232,7 +1098,7 @@ pub fn perf_snapshot_json_with_sweep(
     budget: u64,
     sweep: &[JobsSweepPoint],
 ) -> String {
-    perf_snapshot_json_full(rows, unix_time_s, budget, sweep, &[], &[], &[], &[], &[])
+    perf_snapshot_json_full(rows, unix_time_s, budget, sweep, &[], &[], &[], &[])
 }
 
 /// The full snapshot serializer (schema `thresher.bench_snapshot/6`):
@@ -1240,14 +1106,12 @@ pub fn perf_snapshot_json_with_sweep(
 /// breakdown of [`PtaBenchPoint`]s (per program × solver: solve wall
 /// time, propagation/delta/SCC effort counters), an optional `serve`
 /// section of [`ServeLatencyPoint`]s (daemon latency quantiles +
-/// per-phase cost splits), and an optional `edits` section of
+/// per-phase cost splits), an optional `edits` section of
 /// [`EditBenchPoint`]s (incremental edit latency quantiles + propagation
-/// ratio vs from-scratch), an optional `demand` section of
-/// [`DemandBenchPoint`]s (demand-tier query latency quantiles + slice
-/// fractions), and an optional `null` section of [`NullBenchPoint`]s
-/// (null-dereference client verdicts + drift). Pass `sweep` through
-/// [`admissible_jobs_sweep`] first — a sweep measured on a single-CPU
-/// host must not be snapshotted at all.
+/// ratio vs from-scratch), and an optional `null` section of
+/// [`NullBenchPoint`]s (null-dereference client verdicts + drift). Pass
+/// `sweep` through [`admissible_jobs_sweep`] first — a sweep measured on
+/// a single-CPU host must not be snapshotted at all.
 #[allow(clippy::too_many_arguments)]
 pub fn perf_snapshot_json_full(
     rows: &[Table1Row],
@@ -1257,7 +1121,6 @@ pub fn perf_snapshot_json_full(
     pta_points: &[PtaBenchPoint],
     serve_points: &[ServeLatencyPoint],
     edit_points: &[EditBenchPoint],
-    demand_points: &[DemandBenchPoint],
     null_points: &[NullBenchPoint],
 ) -> String {
     use obs::json::Value;
@@ -1301,12 +1164,6 @@ pub fn perf_snapshot_json_full(
         fields.push((
             "edits".to_owned(),
             Value::Arr(edit_points.iter().map(EditBenchPoint::to_value).collect()),
-        ));
-    }
-    if !demand_points.is_empty() {
-        fields.push((
-            "demand".to_owned(),
-            Value::Arr(demand_points.iter().map(DemandBenchPoint::to_value).collect()),
         ));
     }
     if !null_points.is_empty() {
@@ -1371,13 +1228,13 @@ mod tests {
         // caveat that used to footnote it.
         let gated = admissible_jobs_sweep(1, sweep.clone());
         assert!(gated.is_empty(), "1-CPU sweep must be refused");
-        let snap = perf_snapshot_json_full(&[], 0, 10_000, &gated, &[], &[], &[], &[], &[]);
+        let snap = perf_snapshot_json_full(&[], 0, 10_000, &gated, &[], &[], &[], &[]);
         assert!(!snap.contains("jobs_sweep"), "refused sweep still snapshotted: {snap}");
         assert!(!snap.contains("host_cpus"), "refused sweep left its caveat behind: {snap}");
         // Multi-CPU hosts keep their measurements untouched.
         let kept = admissible_jobs_sweep(2, sweep);
         assert_eq!(kept.len(), 2);
-        let snap = perf_snapshot_json_full(&[], 0, 10_000, &kept, &[], &[], &[], &[], &[]);
+        let snap = perf_snapshot_json_full(&[], 0, 10_000, &kept, &[], &[], &[], &[]);
         assert!(snap.contains("\"jobs_sweep\":["), "{snap}");
         assert!(snap.contains("\"host_cpus\":"), "{snap}");
     }
@@ -1392,7 +1249,7 @@ mod tests {
         assert!(p.candidate_sites > p.alarms, "nothing was refuted");
         assert_eq!(p.edge_timeouts, 0, "budget artifact on the scaled null corpus");
         let snap =
-            perf_snapshot_json_full(&[], 0, 10_000, &[], &[], &[], &[], &[], std::slice::from_ref(&p));
+            perf_snapshot_json_full(&[], 0, 10_000, &[], &[], &[], &[], std::slice::from_ref(&p));
         assert!(snap.contains("\"schema\":\"thresher.bench_snapshot/6\""), "{snap}");
         assert!(snap.contains("\"null\":[{"), "{snap}");
         assert!(snap.contains("\"expected_alarms\":"), "{snap}");

@@ -25,12 +25,10 @@
 //!   --representation <mixed|symbolic|explicit>
 //!   --loops <infer|drop-all>
 //!   --no-simplification
-//!   --pta-solver <delta|reference|demand>
+//!   --pta-solver <delta|reference>
 //!                              points-to fixpoint strategy (default: delta;
 //!                              reference is the full-set differential
-//!                              oracle — both produce identical results;
-//!                              demand answers each query from an
-//!                              oracle-gated slice of the graph)
+//!                              oracle — both produce identical results)
 //!   --pta-stats                print points-to solver counters (nodes,
 //!                              instances, propagations, deltas pushed,
 //!                              SCCs collapsed) after the analysis
@@ -159,7 +157,7 @@ fn parse_args() -> Result<Mode, String> {
                 };
             }
             "--pta-solver" => {
-                let k = args.next().ok_or("--pta-solver needs <delta|reference|demand>")?;
+                let k = args.next().ok_or("--pta-solver needs <delta|reference>")?;
                 pta_solver = k.parse()?;
             }
             "--pta-stats" => pta_stats = true,
@@ -472,16 +470,8 @@ fn diff_reports(path_a: &str, path_b: &str) -> Result<bool, String> {
         v.get("meta").and_then(|m| m.get("pta_solver")).and_then(Value::as_str).map(str::to_owned)
     };
     let cross_solver = solver_of(&a) != solver_of(&b);
-    const STRATEGY_COUNTERS: [&str; 8] = [
-        "pta_propagations",
-        "pta_deltas_pushed",
-        "pta_sccs_collapsed",
-        "pta_drainlog_compactions",
-        "pta_demand_queries",
-        "pta_demand_fallbacks",
-        "pta_demand_drift",
-        "pta_demand_nodes_touched",
-    ];
+    const STRATEGY_COUNTERS: [&str; 4] =
+        ["pta_propagations", "pta_deltas_pushed", "pta_sccs_collapsed", "pta_drainlog_compactions"];
     const STRATEGY_HISTS: [&str; 2] = ["pta_worklist_len", "pta_delta_size"];
 
     // Counters: compare the union of keys so a missing counter is a

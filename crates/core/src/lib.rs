@@ -56,11 +56,9 @@ pub mod null;
 pub mod serve;
 
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use pta::{
-    BitSet, ContextPolicy, DemandPta, HeapEdge, HeapGraphView, LocId, ModRef, PtaResult, PtaView,
-};
+use pta::{BitSet, ContextPolicy, HeapEdge, HeapGraphView, LocId, ModRef, PtaResult};
 use symex::Engine;
 use tir::Program;
 
@@ -71,7 +69,7 @@ pub use clients::{Escape, EscapeChecker, EscapeReport};
 pub use null::{NullClient, NullDeref, NullReport};
 pub use obs;
 pub use pta::ContextPolicy as PointsToPolicy;
-pub use pta::{DemandQueryStats, DemandStats, PartialPtaResult, PtaOptions, SolverKind};
+pub use pta::{PtaOptions, SolverKind};
 pub use symex::{
     default_jobs, AbortCounts, CacheMode, DecisionStore, DerefSite, EdgeAnswer, EdgeDecision,
     JobVerdict, LoopMode, ReachJob, RefKey, RefutationScheduler, Representation, SchedulerOutcome,
@@ -109,11 +107,7 @@ impl ReachabilityAnswer {
 pub struct Thresher<'p> {
     program: &'p Program,
     config: SymexConfig,
-    pta: Arc<PtaResult>,
-    /// The demand-driven query tier, present iff the façade was built with
-    /// [`SolverKind::Demand`]. Queries then run against a per-query slice
-    /// ([`PartialPtaResult`]) instead of the exhaustive result.
-    demand: Option<Mutex<DemandPta>>,
+    pta: PtaResult,
     modref: ModRef,
     jobs: usize,
     cache: Option<Arc<DecisionStore>>,
@@ -140,14 +134,9 @@ impl<'p> Thresher<'p> {
         options: &PtaOptions,
     ) -> Self {
         let _span = obs::span(obs::SpanKind::Setup, "points-to + mod/ref");
-        let (pta, demand) = if options.solver == SolverKind::Demand {
-            let d = DemandPta::analyze(program, policy, options);
-            (Arc::clone(d.oracle()), Some(Mutex::new(d)))
-        } else {
-            (Arc::new(pta::analyze_with(program, policy, options)), None)
-        };
+        let pta = pta::analyze_with(program, policy, options);
         let modref = ModRef::compute(program, &pta);
-        Thresher { program, config, pta, demand, modref, jobs: 1, cache: None }
+        Thresher { program, config, pta, modref, jobs: 1, cache: None }
     }
 
     /// Sets the refutation-scheduler thread count used by the query and
@@ -203,12 +192,6 @@ impl<'p> Thresher<'p> {
         &self.modref
     }
 
-    /// Cumulative demand-tier statistics, when the façade was built with
-    /// [`SolverKind::Demand`] (`None` otherwise).
-    pub fn demand_stats(&self) -> Option<DemandStats> {
-        self.demand.as_ref().map(|d| *d.lock().expect("demand tier poisoned").stats())
-    }
-
     /// The analyzed program.
     pub fn program(&self) -> &'p Program {
         self.program
@@ -218,7 +201,7 @@ impl<'p> Thresher<'p> {
     /// paper's core operation: a [`SearchOutcome::Refuted`] answer is a
     /// sound proof that no execution produces the edge.
     pub fn refute_edge(&self, edge: &HeapEdge) -> (SearchOutcome, SearchStats) {
-        let mut engine = Engine::new(self.program, &*self.pta, &self.modref, self.config.clone());
+        let mut engine = Engine::new(self.program, &self.pta, &self.modref, self.config.clone());
         let out = engine.refute_edge(edge);
         (out, engine.stats)
     }
@@ -287,20 +270,9 @@ impl<'p> Thresher<'p> {
                 self.pta.loc_name(self.program, target)
             )
         });
-        // With the demand tier, compute (or reuse) the query-relevant slice
-        // and run the scheduler against it; out-of-slice lookups resolve
-        // against the retained exhaustive oracle.
-        let partial;
-        let pta: &dyn PtaView = match &self.demand {
-            Some(d) => {
-                partial = d.lock().expect("demand tier poisoned").query_global(self.program, global).0;
-                &*partial
-            }
-            None => &*self.pta,
-        };
         let mut sched = RefutationScheduler::new(
             self.program,
-            pta,
+            &self.pta,
             &self.modref,
             self.config.clone(),
             self.jobs,
@@ -308,7 +280,7 @@ impl<'p> Thresher<'p> {
         if let Some(store) = &self.cache {
             sched.set_store(store.clone());
         }
-        let mut view = HeapGraphView::new(pta);
+        let mut view = HeapGraphView::new(&self.pta);
         let job = ReachJob { source: global, targets: BitSet::singleton(target.index()) };
         let outcome = sched.run(&mut view, std::slice::from_ref(&job));
         let answer = match outcome.verdicts.into_iter().next().expect("one verdict per job") {
@@ -409,31 +381,6 @@ entry main;
             }
             other => panic!("expected refutation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn facade_demand_solver_matches_exhaustive() {
-        let p = program();
-        let exhaustive = Thresher::new(&p);
-        let opts = PtaOptions { solver: SolverKind::Demand, ..Default::default() };
-        let demand = Thresher::with_options(
-            &p,
-            ContextPolicy::Insensitive,
-            SymexConfig::default(),
-            &opts,
-        );
-        assert_eq!(
-            exhaustive.query_reachable("CACHE", "str0").is_reachable(),
-            demand.query_reachable("CACHE", "str0").is_reachable()
-        );
-        assert_eq!(
-            exhaustive.query_reachable("CACHE", "secret0").is_reachable(),
-            demand.query_reachable("CACHE", "secret0").is_reachable()
-        );
-        let stats = demand.demand_stats().expect("demand tier present");
-        assert_eq!(stats.queries, 2);
-        assert_eq!(stats.drift, 0, "demand answers drifted from the oracle");
-        assert!(exhaustive.demand_stats().is_none());
     }
 
     #[test]

@@ -49,10 +49,7 @@ use std::time::{Duration, Instant};
 
 use obs::json::Value;
 use obs::{Counter, Hist, MetricsDelta, Registry, RunReport};
-use pta::{
-    BitSet, ContextPolicy, DemandPta, DemandQueryStats, HeapGraphView, IncrementalPta, ModRef,
-    PartialPtaResult, PtaOptions, PtaResult, PtaView,
-};
+use pta::{BitSet, ContextPolicy, HeapGraphView, IncrementalPta, ModRef, PtaOptions, PtaResult};
 use symex::{
     CacheMode, DecisionStore, Fingerprinter, JobVerdict, MethodHashCache, ReachJob,
     RefutationScheduler, StoreLimits, SymexConfig,
@@ -170,14 +167,8 @@ pub struct RunSummary {
 /// match a one-shot run that did its own loading).
 struct Resident {
     program: Program,
-    pta: Arc<PtaResult>,
+    pta: PtaResult,
     modref: ModRef,
-    /// Lazily-built demand query tier: per-query slices of the points-to
-    /// graph, each answer gated fact-by-fact against the resident
-    /// exhaustive result (`pta`, the differential oracle). Built on the
-    /// first `query_edge` with `"demand": true`; carried across edits with
-    /// its slice cache invalidated by changed-method set.
-    demand: Mutex<Option<DemandPta>>,
     store: Option<Arc<DecisionStore>>,
     store_dir: Option<PathBuf>,
     /// Resident delta solver for the `edit` method, built lazily on the
@@ -588,30 +579,6 @@ impl Shared {
         (sizes, total)
     }
 
-    /// Aggregate demand-tier health across residents: cached slices,
-    /// lifetime query/fallback counts, and the mean per-query slice
-    /// fraction.
-    fn demand_health(&self) -> Value {
-        let residency = self.residency.lock().unwrap();
-        let (mut slices, mut queries, mut fallbacks, mut frac_sum) = (0u64, 0u64, 0u64, 0.0f64);
-        for r in residency.map.values() {
-            if let Some(d) = &*r.demand.lock().unwrap() {
-                slices += d.slices_cached() as u64;
-                let s = d.stats();
-                queries += s.queries;
-                fallbacks += s.fallbacks;
-                frac_sum += s.slice_fraction_sum;
-            }
-        }
-        let mean = if queries == 0 { 0.0 } else { frac_sum / queries as f64 };
-        Value::Obj(vec![
-            ("slices_cached".to_owned(), Value::uint(slices)),
-            ("queries".to_owned(), Value::uint(queries)),
-            ("fallbacks".to_owned(), Value::uint(fallbacks)),
-            ("mean_slice_fraction".to_owned(), Value::Float(mean)),
-        ])
-    }
-
     fn health_body(&self) -> Value {
         let (sizes, store_bytes) = self.store_sizes();
         let programs = Value::Arr(sizes.iter().map(|(n, _)| Value::str(n.clone())).collect());
@@ -628,7 +595,6 @@ impl Shared {
                 "peak_active".to_owned(),
                 Value::uint(self.telemetry.peak_active.load(Ordering::Relaxed)),
             ),
-            ("demand".to_owned(), self.demand_health()),
             ("draining".to_owned(), Value::Bool(self.is_draining())),
             ("uptime_ms".to_owned(), Value::uint(uptime.as_millis() as u64)),
             ("uptime_s".to_owned(), Value::uint(uptime.as_secs())),
@@ -819,22 +785,17 @@ impl Shared {
             "query_edge" => self.do_query(req, deadline, phases),
             "evict" => {
                 let name = param_str(req, "program")?;
-                // Dropping the resident releases the points-to result, the
-                // cross-edit fingerprint hashes, and every cached demand
-                // slice; the response itemizes what went with it.
+                // Dropping the resident releases the points-to result and
+                // the cross-edit fingerprint hashes; the response itemizes
+                // what went with it.
                 let removed = self.residency.lock().unwrap().map.remove(name);
-                let (evicted, hashes_dropped, demand_slices_dropped) = match &removed {
-                    Some(r) => (
-                        true,
-                        r.hashes.lock().unwrap().len() as u64,
-                        r.demand.lock().unwrap().as_ref().map_or(0, |d| d.slices_cached() as u64),
-                    ),
-                    None => (false, 0, 0),
+                let (evicted, hashes_dropped) = match &removed {
+                    Some(r) => (true, r.hashes.lock().unwrap().len() as u64),
+                    None => (false, 0),
                 };
                 Ok(Value::Obj(vec![
                     ("evicted".to_owned(), Value::Bool(evicted)),
                     ("hashes_dropped".to_owned(), Value::uint(hashes_dropped)),
-                    ("demand_slices_dropped".to_owned(), Value::uint(demand_slices_dropped)),
                 ]))
             }
             "metrics" => Ok(Value::Obj(vec![
@@ -907,12 +868,11 @@ impl Shared {
         let locs = pta.locs().ids().count() as u64;
         let resident = Arc::new(Resident {
             program,
-            pta: Arc::new(pta),
+            pta,
             modref,
             store,
             store_dir,
             incr: Mutex::new(None),
-            demand: Mutex::new(None),
             hashes: Mutex::new(MethodHashCache::new()),
             load_obs: Mutex::new(MetricsDelta::default()),
             last_used: AtomicU64::new(0),
@@ -977,20 +937,6 @@ impl Shared {
             );
             (pta, modref, hashes)
         });
-        let pta = Arc::new(pta);
-
-        // Carry the demand tier across the edit: re-point its oracle and
-        // traversal index at the post-edit state, dropping only cached
-        // slices whose traversal touched a changed method.
-        let (demand, demand_dropped) = match res.demand.lock().unwrap().take() {
-            Some(mut d) => {
-                let dropped = phases.time("pta", || {
-                    d.on_edit(&inc, &program, Arc::clone(&pta), &stats.changed_methods)
-                });
-                (Some(d), dropped as u64)
-            }
-            None => (None, 0),
-        };
 
         let changed: Vec<Value> =
             stats.changed_methods.iter().map(|&m| Value::str(program.method_name(m))).collect();
@@ -1009,7 +955,6 @@ impl Shared {
                     ("recomputed".to_owned(), Value::uint(hashes.recomputed())),
                 ]),
             ),
-            ("demand_slices_dropped".to_owned(), Value::uint(demand_dropped)),
         ]);
 
         // Replace-on-edit: the new resident inherits the store (same
@@ -1022,7 +967,6 @@ impl Shared {
             store: res.store.clone(),
             store_dir: res.store_dir.clone(),
             incr: Mutex::new(Some(inc)),
-            demand: Mutex::new(demand),
             hashes: Mutex::new(hashes),
             load_obs: Mutex::new(res.load_obs.lock().unwrap().clone()),
             last_used: AtomicU64::new(0),
@@ -1057,55 +1001,8 @@ impl Shared {
 
         let config = self.engine_config(req.params.get("budget").and_then(Value::as_u64));
         phases.note_budget(config.budget);
-
-        // Demand tier: with `"demand": true` the query runs against a
-        // slice computed (or reused) for this alarm's source global; the
-        // resident exhaustive result stays attached as the differential
-        // oracle, so out-of-slice lookups and gate mismatches resolve
-        // against it — never a wrong answer.
-        let use_demand = matches!(req.params.get("demand"), Some(Value::Bool(true)));
-        let (partial, demand_stats): (Option<Arc<PartialPtaResult>>, Option<DemandQueryStats>) =
-            if use_demand {
-                let mut guard = res.demand.lock().unwrap();
-                if guard.is_none() {
-                    // First demand query: build the traversal index off the
-                    // resident delta solver (lazily created, then kept for
-                    // later edits), sharing the resident oracle.
-                    let mut inc_guard = res.incr.lock().unwrap();
-                    if inc_guard.is_none() {
-                        *inc_guard = Some(phases.time("pta", || {
-                            IncrementalPta::new(
-                                &res.program,
-                                ContextPolicy::Insensitive,
-                                &PtaOptions::default(),
-                            )
-                        }));
-                    }
-                    let inc = inc_guard.as_ref().expect("just built");
-                    *guard = Some(phases.time("pta", || {
-                        DemandPta::from_incremental_with_oracle(
-                            inc,
-                            &res.program,
-                            Arc::clone(&res.pta),
-                        )
-                    }));
-                }
-                let d = guard.as_mut().expect("just built");
-                if let Some(b) = req.params.get("demand_budget").and_then(Value::as_u64) {
-                    d.set_budget(b as usize);
-                }
-                let (p, st) = phases.time("pta", || d.query_global(&res.program, global));
-                (Some(p), Some(st))
-            } else {
-                (None, None)
-            };
-        let pta_view: &dyn PtaView = match &partial {
-            Some(p) => &**p,
-            None => &*res.pta,
-        };
-
         let mut sched =
-            RefutationScheduler::new(&res.program, pta_view, &res.modref, config, self.config.jobs);
+            RefutationScheduler::new(&res.program, &res.pta, &res.modref, config, self.config.jobs);
         if let Some(store) = &res.store {
             // Attach through the cross-edit hash cache: after the first
             // request (or an edit) every per-method hash is a lookup.
@@ -1114,7 +1011,7 @@ impl Shared {
                 sched.set_store_cached(store.clone(), &mut hashes, &[]);
             });
         }
-        let mut view = HeapGraphView::new(pta_view);
+        let mut view = HeapGraphView::new(&res.pta);
         let job = ReachJob { source: global, targets: BitSet::singleton(target.index()) };
         let outcome = phases.time("symex", || sched.run(&mut view, std::slice::from_ref(&job)));
         let verdict = outcome.verdicts.into_iter().next().expect("one verdict per job");
@@ -1125,7 +1022,7 @@ impl Shared {
             ],
             JobVerdict::Witnessed { path, .. } => {
                 let edges =
-                    path.iter().map(|e| Value::str(e.describe(&res.program, pta_view))).collect();
+                    path.iter().map(|e| Value::str(e.describe(&res.program, &res.pta))).collect();
                 vec![
                     ("reachable".to_owned(), Value::Bool(true)),
                     ("path".to_owned(), Value::Arr(edges)),
@@ -1133,18 +1030,6 @@ impl Shared {
             }
         };
         body.push(("edge_timeouts".to_owned(), Value::uint(outcome.tally.edge_timeouts)));
-        if let Some(ds) = demand_stats {
-            body.push((
-                "demand".to_owned(),
-                Value::Obj(vec![
-                    ("nodes_touched".to_owned(), Value::uint(ds.nodes_touched)),
-                    ("demand_fallbacks".to_owned(), Value::uint(u64::from(ds.fallback))),
-                    ("slice_fraction".to_owned(), Value::Float(ds.slice_fraction)),
-                    ("cache_hit".to_owned(), Value::Bool(ds.cache_hit)),
-                    ("drift".to_owned(), Value::uint(ds.drift)),
-                ]),
-            ));
-        }
         Ok(Value::Obj(body))
     }
 
@@ -1379,25 +1264,10 @@ fn worker_loop(shared: &Arc<Shared>) {
                         // strip it before byte-comparing answers (it holds
                         // wall-clock times). The counts inside are delta-
                         // derived and jobs-invariant.
-                        let mut cost = cost_value(&delta, &phases, wall_us, queue_wait_us);
-                        // Demand-tier queries surface their slice cost at
-                        // the cost top level (phases keys stay fixed).
-                        let demand_cost: Vec<(String, Value)> = fields
-                            .iter()
-                            .find(|(k, _)| k == "demand")
-                            .map(|(_, v)| {
-                                ["nodes_touched", "demand_fallbacks", "slice_fraction"]
-                                    .iter()
-                                    .filter_map(|&k| {
-                                        v.get(k).map(|val| (k.to_owned(), val.clone()))
-                                    })
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        if let Value::Obj(cf) = &mut cost {
-                            cf.extend(demand_cost);
-                        }
-                        fields.push(("cost".to_owned(), cost));
+                        fields.push((
+                            "cost".to_owned(),
+                            cost_value(&delta, &phases, wall_us, queue_wait_us),
+                        ));
                         if wants_report(&job.req) {
                             fields.push((
                                 "report".to_owned(),
@@ -1538,7 +1408,10 @@ entry main;
 
     #[test]
     fn load_query_health_shutdown() {
-        let daemon = Daemon::new(ServeConfig::default());
+        // One worker: with more, a query can run before the load it
+        // follows in the script.
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let daemon = Daemon::new(config);
         let script = format!(
             "{}\n\
              {{\"id\": 2, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"secret0\"}}}}\n\
@@ -1604,71 +1477,6 @@ entry main;
     }
 
     #[test]
-    fn demand_query_matches_exhaustive_and_survives_edits() {
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let daemon = Daemon::new(config);
-        let script = format!(
-            "{}\n\
-             {{\"id\": 2, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"secret0\"}}}}\n\
-             {{\"id\": 3, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"secret0\", \"demand\": true}}}}\n\
-             {{\"id\": 4, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"str0\", \"demand\": true}}}}\n\
-             {{\"id\": 5, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"str0\", \"demand\": true}}}}\n\
-             {{\"id\": 6, \"method\": \"edit\", \"params\": {{\"program\": \"boxy\", \"edits\": [{{\"op\": \"add_stmt\", \"method\": \"main\", \"at\": 4, \"text\": \"b.item = secret;\"}}]}}}}\n\
-             {{\"id\": 7, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"secret0\", \"demand\": true}}}}\n\
-             {{\"id\": 8, \"method\": \"health\"}}\n\
-             {{\"id\": 9, \"method\": \"evict\", \"params\": {{\"program\": \"boxy\"}}}}\n",
-            load_line(1)
-        );
-        let (lines, summary) = daemon.run_script(&script);
-        let ok = |id: u64| {
-            obs::json::parse(response_for(&lines, id))
-                .unwrap()
-                .get("ok")
-                .cloned()
-                .unwrap_or_else(|| panic!("id {id} not ok: {lines:?}"))
-        };
-        // Demand answers agree with the exhaustive tier on both verdicts.
-        assert!(matches!(ok(2).get("reachable"), Some(Value::Bool(false))));
-        let demand_refuted = ok(3);
-        assert!(matches!(demand_refuted.get("reachable"), Some(Value::Bool(false))));
-        let block = demand_refuted.get("demand").cloned().expect("demand block");
-        assert_eq!(block.get("drift").and_then(Value::as_u64), Some(0));
-        assert!(matches!(block.get("cache_hit"), Some(Value::Bool(false))));
-        // The slice cost surfaces at the cost top level too.
-        let cost = demand_refuted.get("cost").cloned().expect("cost block");
-        assert!(cost.get("nodes_touched").is_some());
-        assert!(cost.get("slice_fraction").is_some());
-        assert!(matches!(ok(4).get("reachable"), Some(Value::Bool(true))));
-        // Same global again: answered from the slice cache.
-        let warm = ok(5);
-        let block = warm.get("demand").cloned().expect("demand block");
-        assert!(matches!(block.get("cache_hit"), Some(Value::Bool(true))));
-        assert_eq!(block.get("nodes_touched").and_then(Value::as_u64), Some(0));
-        // The edit invalidates the CACHE slice; the re-query is exact
-        // against the post-edit program (secret0 now reachable).
-        let edit = ok(6);
-        assert!(edit.get("demand_slices_dropped").and_then(Value::as_u64).unwrap_or(0) >= 1);
-        let post = ok(7);
-        assert!(matches!(post.get("reachable"), Some(Value::Bool(true))));
-        let block = post.get("demand").cloned().expect("demand block");
-        assert_eq!(block.get("drift").and_then(Value::as_u64), Some(0));
-        assert!(matches!(block.get("cache_hit"), Some(Value::Bool(false))));
-        // Health aggregates the tier (the snapshot is privileged and races
-        // the queued queries, so only the shape is asserted); evict runs in
-        // queue order and itemizes exactly what it drops.
-        let health = ok(8);
-        let dh = health.get("demand").cloned().expect("health demand block");
-        assert!(dh.get("slices_cached").and_then(Value::as_u64).is_some());
-        assert!(dh.get("fallbacks").and_then(Value::as_u64).is_some());
-        assert!(dh.get("mean_slice_fraction").and_then(Value::as_f64).is_some());
-        let evict = ok(9);
-        assert!(matches!(evict.get("evicted"), Some(Value::Bool(true))));
-        assert!(evict.get("demand_slices_dropped").and_then(Value::as_u64).unwrap_or(0) >= 1);
-        assert!(evict.get("hashes_dropped").is_some());
-        assert_eq!(summary.panicked, 0);
-    }
-
-    #[test]
     fn unknown_method_and_bad_json_answer_inline() {
         let daemon = Daemon::new(ServeConfig::default());
         let (lines, summary) =
@@ -1727,7 +1535,10 @@ entry main;
 
     #[test]
     fn injection_requires_opt_in() {
-        let daemon = Daemon::new(ServeConfig::default());
+        // One worker, so the query cannot overtake the load (the answer
+        // would be `not-loaded` instead of `bad-request`).
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let daemon = Daemon::new(config);
         let script = format!(
             "{}\n\
              {{\"id\": 2, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"str0\", \"inject\": \"panic\"}}}}\n",

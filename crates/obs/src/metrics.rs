@@ -134,18 +134,6 @@ metric_enum! {
         /// Incremental drain-log compactions (cap exceeded; dead and
         /// duplicate entries dropped).
         PtaDrainlogCompactions => "pta_drainlog_compactions",
-        /// Demand-tier points-to queries answered.
-        PtaDemandQueries => "pta_demand_queries",
-        /// Demand queries that exhausted their exploration budget and fell
-        /// back to the exhaustive result.
-        PtaDemandFallbacks => "pta_demand_fallbacks",
-        /// Demand-computed facts that disagreed with the exhaustive oracle
-        /// and were replaced by it (answer stays exact; nonzero means the
-        /// traversal lost precision or soundness somewhere).
-        PtaDemandDrift => "pta_demand_drift",
-        /// Constraint-graph node representatives traversed by demand
-        /// queries.
-        PtaDemandNodesTouched => "pta_demand_nodes_touched",
         // --- persistent refutation cache ---
         /// Disk-cache decisions reused verbatim (committed by the
         /// coordinator from a valid, current-fingerprint record).

@@ -242,7 +242,7 @@ impl Solver {
                     self.worklist.push_back(node);
                 }
             }
-            _ => {
+            SolverKind::Delta => {
                 let n = self.find(node);
                 let i = n.0 as usize;
                 if self.pts[i].contains(loc.index()) {
@@ -265,7 +265,7 @@ impl Solver {
                     self.worklist.push_back(from);
                 }
             }
-            _ => {
+            SolverKind::Delta => {
                 let f = self.find(from);
                 let t = self.find(to);
                 if f == t {
@@ -397,7 +397,7 @@ impl Solver {
                     self.worklist.push_back(base);
                 }
             }
-            _ => {
+            SolverKind::Delta => {
                 let b = self.find(base);
                 self.loads[b.0 as usize].push((f, dst));
                 // Most registrations happen before any fact reaches the
@@ -420,7 +420,7 @@ impl Solver {
                     self.worklist.push_back(base);
                 }
             }
-            _ => {
+            SolverKind::Delta => {
                 let b = self.find(base);
                 self.stores[b.0 as usize].push((f, src));
                 if !self.pts[b.0 as usize].is_empty() {
@@ -443,7 +443,7 @@ impl Solver {
                     self.worklist.push_back(recv);
                 }
             }
-            _ => {
+            SolverKind::Delta => {
                 let r = self.find(recv);
                 self.recv_calls[r.0 as usize].push(idx);
                 if !self.pts[r.0 as usize].is_empty() {
@@ -724,7 +724,7 @@ impl Solver {
         let _span = obs::span(obs::SpanKind::Pta, "points-to solve");
         match self.options.solver {
             SolverKind::Reference => self.solve_reference(program, entry),
-            _ => self.solve_delta(program, entry),
+            SolverKind::Delta => self.solve_delta(program, entry),
         }
     }
 
@@ -1232,12 +1232,6 @@ pub enum SolverKind {
     /// The textbook full-set worklist solver, kept as the differential-
     /// testing reference for [`SolverKind::Delta`].
     Reference,
-    /// The delta fixpoint plus a demand-driven *query* tier
-    /// ([`crate::DemandPta`]): per-query CFL-reachability over the solved
-    /// constraint graph computes only the query-relevant slice, gated
-    /// fact-by-fact against the exhaustive result. The whole-program
-    /// result is identical to [`SolverKind::Delta`]'s.
-    Demand,
 }
 
 impl SolverKind {
@@ -1246,7 +1240,6 @@ impl SolverKind {
         match self {
             SolverKind::Delta => "delta",
             SolverKind::Reference => "reference",
-            SolverKind::Demand => "demand",
         }
     }
 }
@@ -1258,8 +1251,7 @@ impl std::str::FromStr for SolverKind {
         match s {
             "delta" => Ok(SolverKind::Delta),
             "reference" => Ok(SolverKind::Reference),
-            "demand" => Ok(SolverKind::Demand),
-            other => Err(format!("unknown solver {other:?} (expected delta|reference|demand)")),
+            other => Err(format!("unknown solver {other:?} (expected delta|reference)")),
         }
     }
 }
@@ -1279,11 +1271,6 @@ pub struct PtaOptions {
     /// their representatives, duplicates and suspended-owner entries
     /// dropped). 0 disables compaction.
     pub drain_log_cap: usize,
-    /// Demand-query exploration budget: the maximum number of
-    /// constraint-graph representatives one query may traverse before it
-    /// abandons the slice and falls back to the exhaustive result.
-    /// 0 means unbounded.
-    pub demand_budget: usize,
 }
 
 impl Default for PtaOptions {
@@ -1292,7 +1279,6 @@ impl Default for PtaOptions {
             empty_contents_allocs: Vec::new(),
             solver: SolverKind::default(),
             drain_log_cap: 4096,
-            demand_budget: 0,
         }
     }
 }
@@ -1628,5 +1614,14 @@ entry main;
         let names: Vec<String> =
             delta.pt_global(g).iter().map(|l| delta.loc_name(&p, LocId(l as u32))).collect();
         assert_eq!(names, vec!["seed"]);
+    }
+
+    #[test]
+    fn solver_names_parse_back_and_nothing_else_does() {
+        for solver in [SolverKind::Delta, SolverKind::Reference] {
+            assert_eq!(solver.name().parse::<SolverKind>(), Ok(solver));
+        }
+        let err = "demand".parse::<SolverKind>().unwrap_err();
+        assert!(err.ends_with("(expected delta|reference)"), "{err}");
     }
 }

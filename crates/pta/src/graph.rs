@@ -12,25 +12,23 @@ use tir::{FieldId, GlobalId, Program};
 
 use crate::bitset::BitSet;
 use crate::loc::LocId;
-use crate::result::HeapEdge;
-use crate::view::PtaView;
+use crate::result::{HeapEdge, PtaResult};
 
-/// A deletion overlay over a points-to result's heap graph. Works over any
-/// [`PtaView`] — the exhaustive [`PtaResult`](crate::PtaResult) or a
-/// demand-computed [`PartialPtaResult`](crate::PartialPtaResult) slice.
+/// A deletion overlay over a [`PtaResult`]'s heap graph.
+#[derive(Debug)]
 pub struct HeapGraphView<'a> {
-    result: &'a dyn PtaView,
+    result: &'a PtaResult,
     deleted: HashSet<HeapEdge>,
 }
 
 impl<'a> HeapGraphView<'a> {
     /// Creates a view with no deletions.
-    pub fn new(result: &'a dyn PtaView) -> Self {
+    pub fn new(result: &'a PtaResult) -> Self {
         HeapGraphView { result, deleted: HashSet::new() }
     }
 
     /// The underlying analysis result.
-    pub fn result(&self) -> &'a dyn PtaView {
+    pub fn result(&self) -> &'a PtaResult {
         self.result
     }
 
@@ -62,7 +60,7 @@ impl<'a> HeapGraphView<'a> {
         // heap map iterates in hash order, which varies across processes, and
         // the BFS tie-break (which shortest path wins) must not.
         let mut succ: HashMap<LocId, Vec<(FieldId, &BitSet)>> = HashMap::new();
-        let mut entries: Vec<_> = self.result.heap_rows();
+        let mut entries: Vec<_> = self.result.heap_entries().collect();
         entries.sort_by_key(|&(base, field, _)| (base.index(), field.index()));
         for (base, field, targets) in entries {
             succ.entry(base).or_default().push((field, targets));

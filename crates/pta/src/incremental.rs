@@ -86,12 +86,6 @@ impl IncrementalPta {
         self.solver.propagations
     }
 
-    /// Read access to the resident solver state, for the demand-query tier
-    /// ([`crate::DemandPta`]) to index the solved constraint graph.
-    pub(crate) fn solver(&self) -> &Solver {
-        &self.solver
-    }
-
     /// Snapshots the current fixpoint as a [`PtaResult`].
     ///
     /// Abstract locations whose creating instance is suspended (or whose
@@ -628,7 +622,7 @@ impl IncrementalPta {
     /// unique creating instance, and a location used as a context
     /// qualifier was interned (by its creator) before any instance keyed
     /// on it existed — so the qualifier's fresh id is always available.
-    pub(crate) fn live_loc_table(&self, program: &Program) -> (LocTable, Vec<Option<LocId>>) {
+    fn live_loc_table(&self, program: &Program) -> (LocTable, Vec<Option<LocId>>) {
         let s = &self.solver;
         let mut table = LocTable::new();
         let mut map: Vec<Option<LocId>> = vec![None; s.locs.len()];

@@ -38,21 +38,17 @@
 mod analysis;
 mod bitset;
 mod context;
-mod demand;
 mod graph;
 mod incremental;
 mod loc;
 mod modref;
 mod result;
-mod view;
 
 pub use analysis::{analyze, analyze_with, PtaOptions, SolverKind};
 pub use bitset::BitSet;
 pub use context::ContextPolicy;
-pub use demand::{DemandPta, DemandQueryStats, DemandStats, PartialPtaResult};
 pub use graph::HeapGraphView;
 pub use incremental::{EditSolveStats, IncrementalPta};
 pub use loc::{AbsLoc, LocId, LocTable};
 pub use modref::ModRef;
 pub use result::{canonical_text, HeapEdge, PtaResult};
-pub use view::PtaView;

@@ -38,7 +38,7 @@ impl HeapEdge {
     }
 
     /// Renders the edge with human-readable location names.
-    pub fn describe(&self, program: &Program, result: &dyn crate::PtaView) -> String {
+    pub fn describe(&self, program: &Program, result: &PtaResult) -> String {
         match self {
             HeapEdge::Global { global, target } => {
                 format!("{} => {}", program.global(*global).name, result.loc_name(program, *target))

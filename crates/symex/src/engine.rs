@@ -12,7 +12,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use pta::{BitSet, HeapEdge, LocId, ModRef, PtaView};
+use pta::{BitSet, HeapEdge, LocId, ModRef, PtaResult};
 use tir::{Callee, CmdId, Command, MethodId, Operand, Program, Stmt, Ty, VarId};
 
 use crate::config::{LoopMode, Representation, SymexConfig};
@@ -52,7 +52,7 @@ const CMDS_PER_PATH_PROGRAM: u64 = 256;
 /// accumulates [`SearchStats`] across searches.
 pub struct Engine<'a> {
     pub(crate) program: &'a Program,
-    pub(crate) pta: &'a dyn PtaView,
+    pub(crate) pta: &'a PtaResult,
     pub(crate) modref: &'a ModRef,
     /// Engine configuration. May be adjusted between searches; the
     /// deadline fields are snapshotted at construction time.
@@ -78,7 +78,7 @@ impl<'a> Engine<'a> {
     /// Creates an engine over the analyzed program.
     pub fn new(
         program: &'a Program,
-        pta: &'a dyn PtaView,
+        pta: &'a PtaResult,
         modref: &'a ModRef,
         config: SymexConfig,
     ) -> Self {

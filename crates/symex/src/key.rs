@@ -7,7 +7,7 @@
 //! [`DerefSite`]. Both kinds run through the same engine, parallel
 //! scheduler, and persistent store.
 
-use pta::{HeapEdge, PtaView};
+use pta::{HeapEdge, PtaResult};
 use tir::{CmdId, Program, VarId};
 
 /// A candidate null dereference: command `cmd` dereferences the value of
@@ -55,7 +55,7 @@ impl RefKey {
     }
 
     /// Human-readable rendering for spans and logs.
-    pub fn describe(&self, program: &Program, pta: &dyn PtaView) -> String {
+    pub fn describe(&self, program: &Program, pta: &PtaResult) -> String {
         match self {
             RefKey::Edge(e) => e.describe(program, pta),
             RefKey::Deref(s) => s.describe(program),

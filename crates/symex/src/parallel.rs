@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pta::{BitSet, HeapEdge, HeapGraphView, ModRef, PtaView};
+use pta::{BitSet, HeapEdge, HeapGraphView, ModRef, PtaResult};
 use tir::{GlobalId, Program};
 
 use crate::engine::{EdgeDecision, Engine};
@@ -522,7 +522,7 @@ fn run_job<'a>(
 /// decisions exactly like the historical per-client caches did.
 pub struct RefutationScheduler<'a> {
     program: &'a Program,
-    pta: &'a dyn PtaView,
+    pta: &'a PtaResult,
     modref: &'a ModRef,
     config: SymexConfig,
     jobs: usize,
@@ -544,7 +544,7 @@ impl<'a> RefutationScheduler<'a> {
     /// least 1.
     pub fn new(
         program: &'a Program,
-        pta: &'a dyn PtaView,
+        pta: &'a PtaResult,
         modref: &'a ModRef,
         config: SymexConfig,
         jobs: usize,
@@ -582,7 +582,7 @@ impl<'a> RefutationScheduler<'a> {
     pub fn set_store(&mut self, store: Arc<DecisionStore>) {
         self.disk = Some(DiskTier {
             program: self.program,
-            fpr: Fingerprinter::new(self.program, self.pta.exhaustive(), &self.config),
+            fpr: Fingerprinter::new(self.program, self.pta, &self.config),
             store,
         });
     }
@@ -602,7 +602,7 @@ impl<'a> RefutationScheduler<'a> {
             program: self.program,
             fpr: Fingerprinter::with_cache(
                 self.program,
-                self.pta.exhaustive(),
+                self.pta,
                 &self.config,
                 method_hashes,
                 changed,
@@ -831,7 +831,6 @@ impl<'a> RefutationScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pta::PtaResult;
     use pta::ContextPolicy;
 
     fn setup(src: &str) -> (Program, PtaResult, ModRef) {

@@ -43,7 +43,7 @@ pub enum ReplayVerdict {
 /// entered).
 pub fn validate_witness(
     program: &Program,
-    pta: &dyn pta::PtaView,
+    pta: &pta::PtaResult,
     witness: &Witness,
 ) -> ReplayVerdict {
     if witness.trace.is_empty() {

@@ -68,6 +68,7 @@ fn cli_failure_band() {
     // Usage errors -> 64.
     assert_eq!(cli(&["--definitely-not-a-flag"]), Some(64));
     assert_eq!(cli(&[good.to_str().unwrap(), "--query", "NO_SUCH_GLOBAL", "str0"]), Some(64));
+    assert_eq!(cli(&[good.to_str().unwrap(), "--pta-solver", "demand"]), Some(64));
     // Missing input -> 66.
     assert_eq!(cli(&[dir.join("missing.tir").to_str().unwrap()]), Some(66));
     // Parse error -> 65.
