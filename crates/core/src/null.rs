@@ -140,8 +140,7 @@ impl NullReport {
                     ("aborted".to_owned(), Value::Bool(a.aborted)),
                 ];
                 if let Some(w) = &a.witness {
-                    let steps =
-                        w.steps(program).into_iter().map(Value::Str).collect::<Vec<_>>();
+                    let steps = w.steps(program).into_iter().map(Value::Str).collect::<Vec<_>>();
                     fields.push(("witness".to_owned(), Value::Arr(steps)));
                 }
                 Value::Obj(fields)
@@ -264,12 +263,13 @@ impl<'a> NullClient<'a> {
             Operand::Var(v) => s.vars.contains(v),
             Operand::Int(_) => false,
         };
-        let cell_may_null = |s: &Sentinel, obj: VarId, field: FieldId| {
-            field == self.program.contents_field
-                || self.pta.pt_var(obj).iter().any(|l| {
-                    !written_cells.contains(&(l, field)) || s.cells.contains(&(l, field))
-                })
-        };
+        let cell_may_null =
+            |s: &Sentinel, obj: VarId, field: FieldId| {
+                field == self.program.contents_field
+                    || self.pta.pt_var(obj).iter().any(|l| {
+                        !written_cells.contains(&(l, field)) || s.cells.contains(&(l, field))
+                    })
+            };
         loop {
             let mut changed = false;
             let mark_var = |s: &mut Sentinel, v: VarId, changed: &mut bool| {
@@ -277,34 +277,26 @@ impl<'a> NullClient<'a> {
             };
             for &cmd in cmds {
                 match self.program.cmd(cmd) {
-                    Command::Assign { dst, src } => {
-                        if op_may_null(&s, src) {
-                            mark_var(&mut s, *dst, &mut changed);
-                        }
+                    Command::Assign { dst, src } if op_may_null(&s, src) => {
+                        mark_var(&mut s, *dst, &mut changed);
                     }
-                    Command::ReadField { dst, obj, field } => {
-                        if cell_may_null(&s, *obj, *field) {
-                            mark_var(&mut s, *dst, &mut changed);
-                        }
+                    Command::ReadField { dst, obj, field } if cell_may_null(&s, *obj, *field) => {
+                        mark_var(&mut s, *dst, &mut changed);
                     }
-                    Command::ReadGlobal { dst, global } => {
-                        if !written_globals.contains(global) || s.globals.contains(global) {
-                            mark_var(&mut s, *dst, &mut changed);
-                        }
+                    Command::ReadGlobal { dst, global }
+                        if !written_globals.contains(global) || s.globals.contains(global) =>
+                    {
+                        mark_var(&mut s, *dst, &mut changed);
                     }
                     // Array elements are null at birth, unconditionally.
                     Command::ReadArray { dst, .. } => mark_var(&mut s, *dst, &mut changed),
-                    Command::WriteField { obj, field, src } => {
-                        if op_may_null(&s, src) {
-                            for l in self.pta.pt_var(*obj).iter() {
-                                changed |= s.cells.insert((l, *field));
-                            }
+                    Command::WriteField { obj, field, src } if op_may_null(&s, src) => {
+                        for l in self.pta.pt_var(*obj).iter() {
+                            changed |= s.cells.insert((l, *field));
                         }
                     }
-                    Command::WriteGlobal { global, src } => {
-                        if op_may_null(&s, src) {
-                            changed |= s.globals.insert(*global);
-                        }
+                    Command::WriteGlobal { global, src } if op_may_null(&s, src) => {
+                        changed |= s.globals.insert(*global);
                     }
                     Command::Call { dst, callee, args } => {
                         let offset = usize::from(matches!(callee, Callee::Virtual { .. }));
@@ -322,10 +314,8 @@ impl<'a> NullClient<'a> {
                             }
                         }
                     }
-                    Command::Return { val: Some(op) } => {
-                        if op_may_null(&s, op) {
-                            changed |= s.rets.insert(self.program.cmd_method(cmd));
-                        }
+                    Command::Return { val: Some(op) } if op_may_null(&s, op) => {
+                        changed |= s.rets.insert(self.program.cmd_method(cmd));
                     }
                     _ => {}
                 }
@@ -490,8 +480,7 @@ entry main;
 
     #[test]
     fn guarded_deref_is_refuted() {
-        let src =
-            DEREF_SRC.replace("t.item = o;", "if (t != null) {\n    t.item = o;\n  }");
+        let src = DEREF_SRC.replace("t.item = o;", "if (t != null) {\n    t.item = o;\n  }");
         let (p, r, m) = setup(&src);
         let report = NullClient::new(&p, &r, &m, SymexConfig::default()).run();
         assert_eq!(report.candidate_sites, 1, "{report:?}");
@@ -502,15 +491,13 @@ entry main;
     #[test]
     fn jobs_and_store_do_not_change_the_report() {
         let (p, r, m) = setup(DEREF_SRC);
-        let dir = std::env::temp_dir()
-            .join(format!("thresher-null-client-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("thresher-null-client-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(
             DecisionStore::open(&dir, symex::CacheMode::ReadWrite, &p).expect("open store"),
         );
-        let cold = NullClient::new(&p, &r, &m, SymexConfig::default())
-            .with_store(store.clone())
-            .run();
+        let cold =
+            NullClient::new(&p, &r, &m, SymexConfig::default()).with_store(store.clone()).run();
         let warm = NullClient::new(&p, &r, &m, SymexConfig::default())
             .with_jobs(4)
             .with_store(store)

@@ -1101,9 +1101,8 @@ impl Shared {
     ) -> Result<Value, ServeError> {
         let config = self.engine_config(req.params.get("budget").and_then(Value::as_u64));
         phases.note_budget(config.budget);
-        let mut client =
-            crate::null::NullClient::new(&res.program, &res.pta, &res.modref, config)
-                .with_jobs(self.config.jobs);
+        let mut client = crate::null::NullClient::new(&res.program, &res.pta, &res.modref, config)
+            .with_jobs(self.config.jobs);
         if let Some(store) = &res.store {
             client = client.with_store(store.clone());
         }

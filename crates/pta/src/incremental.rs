@@ -944,8 +944,7 @@ entry main;
         let mut inc = IncrementalPta::new(&program, ContextPolicy::Insensitive, &options);
         // An added allocation flows o → set.v → a0.f → get.r → main.r:
         // several drain pops, comfortably past the cap of 2.
-        let applied =
-            apply_edits(&mut program, &[add("main", 2, "o = new Object @o1;")]).unwrap();
+        let applied = apply_edits(&mut program, &[add("main", 2, "o = new Object @o1;")]).unwrap();
         let stats = inc.apply_edits(&program, &applied);
         assert!(
             rec.counter(obs::Counter::PtaDrainlogCompactions) > 0,

@@ -1120,8 +1120,7 @@ entry main;
             engine.refute_deref(&site).is_witnessed(),
             "without guard tracking the heap-routed null survives"
         );
-        let mut engine =
-            Engine::new(&p, &r, &m, SymexConfig::default().with_null_guards(true));
+        let mut engine = Engine::new(&p, &r, &m, SymexConfig::default().with_null_guards(true));
         assert!(
             engine.refute_deref(&site).is_refuted(),
             "guard tracking refutes the heap-routed null flow"

@@ -1,12 +1,14 @@
 //! Cross-run incremental behavior of the persistent refutation cache
 //! (`symex::persist`).
 //!
-//! Three properties, per ISSUE acceptance:
+//! Three properties:
 //!
 //! - **cold/warm identity** on corpus apps: a warm rerun over an
 //!   unchanged program serves *every* decision from disk (zero misses,
 //!   zero invalidations, zero live path programs) and produces the same
-//!   answers and committed decisions as the cold run;
+//!   answers and committed decisions as the cold run — both for every
+//!   heap edge through the scheduler and for the leak client over every
+//!   suite app;
 //! - **edit sensitivity**: after editing one method, the warm run's
 //!   answers equal a cold run on the edited program, and exactly the
 //!   decisions whose fingerprint slice contains the edited method are
@@ -19,6 +21,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use android::{ActivityLeakChecker, Alarm, LeakReport};
 use pta::{ContextPolicy, HeapEdge, LocId, ModRef, PtaResult};
 use symex::{
     CacheMode, DecisionStore, EdgeAnswer, Fingerprinter, RefutationScheduler, SymexConfig, Tally,
@@ -124,6 +127,59 @@ fn corpus_cold_warm_identical() {
 
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// What a leak run answered: every alarm with its verdict, in order, and
+/// the edge counters. Cache counters are left out: they record where a
+/// decision came from, not what it was.
+fn leak_answers(report: &LeakReport) -> (Vec<(Alarm, bool)>, [usize; 6]) {
+    let s = &report.stats;
+    (
+        report.alarms.iter().map(|(alarm, result)| (*alarm, result.is_refuted())).collect(),
+        [
+            s.edges_refuted,
+            s.edges_witnessed,
+            s.edge_timeouts,
+            s.retries,
+            s.degraded_decisions,
+            s.edges_descheduled,
+        ],
+    )
+}
+
+/// The leak client over every suite app, cold then warm against a fresh
+/// store per app: the warm run answers like the cold one and takes every
+/// committed decision from the store (20, 17, 4, 18, 17, 66 and 80 of
+/// them in suite order) without exploring a path program. The apps run
+/// side by side because the cold runs of aMetro and K9Mail dominate.
+#[test]
+fn leak_client_warm_rerun_comes_from_the_store() {
+    std::thread::scope(|s| {
+        for app in apps::suite::all_apps() {
+            s.spawn(move || assert_warm_rerun_is_pure(&app));
+        }
+    });
+}
+
+fn assert_warm_rerun_is_pure(app: &apps::BenchApp) {
+    let dir = fresh_cache_dir();
+    let run = || {
+        ActivityLeakChecker::new(&app.program)
+            .with_policy(apps::builder::container_policy(app))
+            .with_cache(&dir, CacheMode::ReadWrite)
+            .check()
+    };
+    let cold = run();
+    let warm = run();
+    let name = app.name;
+    assert_eq!(leak_answers(&cold), leak_answers(&warm), "{name}: warm answers differ");
+    let s = &warm.stats;
+    assert_eq!(s.cache_misses, 0, "{name}: warm run recomputed a decision");
+    assert_eq!(s.cache_invalidated, 0, "{name}: unchanged program invalidated a decision");
+    assert_eq!(s.fresh_path_programs, 0, "{name}: warm run explored path programs");
+    assert_eq!(cold.stats.cache_hits, 0, "{name}: fresh store produced hits");
+    assert_eq!(s.cache_hits, cold.stats.cache_misses, "{name}: not every decision came from disk");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 /// `edit`: 0 = baseline; 1 = edit the live `mutate` helper (in every

@@ -20,9 +20,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apps::NullMotif;
-use thresher::{
-    CacheMode, PointsToPolicy, PtaOptions, SolverKind, SymexConfig, Thresher,
-};
+use thresher::{CacheMode, PointsToPolicy, PtaOptions, SolverKind, SymexConfig, Thresher};
 use tir::Program;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -101,10 +99,11 @@ fn ground_truth_per_motif() {
 
 /// The scaled null corpus at several sizes: alarm count equals the
 /// generator's ground truth, so precision neither decays nor inflates
-/// with program size.
+/// with program size. Every candidate site is either refuted or an alarm
+/// (at scale 16: 64 sites, 45 refuted, 19 alarms).
 #[test]
 fn ground_truth_on_scaled_corpus() {
-    for scale in [1, 2, 4, 6] {
+    for scale in [1, 2, 4, 6, 8, 16] {
         let program = apps::scale::scaled_null_program(scale);
         let expected = apps::scale::expected_null_alarms(scale);
         let t = Thresher::new(&program);
@@ -117,6 +116,11 @@ fn ground_truth_on_scaled_corpus() {
         );
         assert_eq!(report.edge_timeouts, 0, "scaled-{scale}: ran out of budget");
         assert!(report.candidate_sites > expected, "scaled-{scale}: nothing was refuted");
+        assert_eq!(
+            report.candidate_sites,
+            report.refuted_sites + report.num_alarms(),
+            "scaled-{scale}: a candidate site was neither refuted nor reported"
+        );
     }
 }
 
@@ -136,8 +140,9 @@ fn fig1_corpus_file_is_null_clean() {
     assert_eq!(report.candidate_sites, 0, "fig1 should have no may-null dereference bases");
 }
 
-/// The whole on-disk corpus must at least run the client to completion
-/// without aborts — a smoke gate that new corpus files stay analyzable.
+/// The whole on-disk corpus must run the client to completion without
+/// aborts, account for every candidate site, and answer byte-identically
+/// under four workers — a gate that new corpus files stay analyzable.
 #[test]
 fn corpus_files_run_null_client() {
     let mut count = 0;
@@ -151,6 +156,18 @@ fn corpus_files_run_null_client() {
         let program = tir::parse(&src).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let report = Thresher::new(&program).check_null_derefs();
         assert_eq!(report.edge_timeouts, 0, "{}: null client aborted", path.display());
+        assert_eq!(
+            report.candidate_sites,
+            report.refuted_sites + report.num_alarms(),
+            "{}: a candidate site was neither refuted nor reported",
+            path.display()
+        );
+        assert_eq!(
+            (report.describe(&program), report.to_value(&program).to_json()),
+            report_bytes(&Thresher::new(&program).with_jobs(4), &program),
+            "{}: jobs=4 changed the report",
+            path.display()
+        );
     }
     assert!(count >= 10, "expected the full corpus, found {count}");
 }
@@ -186,7 +203,10 @@ fn assert_identical_everywhere(name: &str, program: &Program) {
         );
         assert_eq!(baseline, cold, "{name} ({policy:?}): cold cache changed the report");
         let warm = report_bytes(
-            &mk(&PtaOptions::default()).with_cache(&dir, CacheMode::Read).expect("cache").with_jobs(4),
+            &mk(&PtaOptions::default())
+                .with_cache(&dir, CacheMode::Read)
+                .expect("cache")
+                .with_jobs(4),
             program,
         );
         assert_eq!(baseline, warm, "{name} ({policy:?}): warm cache changed the report");
@@ -220,8 +240,10 @@ fn reports_identical_on_motif_mix() {
 
 #[test]
 fn reports_identical_on_scaled_corpus() {
-    let program = apps::scale::scaled_null_program(4);
-    assert_identical_everywhere("scaled-4", &program);
+    for scale in [4, 16] {
+        let program = apps::scale::scaled_null_program(scale);
+        assert_identical_everywhere(&format!("scaled-{scale}"), &program);
+    }
 }
 
 #[test]

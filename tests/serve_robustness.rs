@@ -582,10 +582,11 @@ fn wait_with_timeout(child: &mut Child, what: &str) -> i32 {
 }
 
 /// EOF on stdin drains queued work and exits 0, with every admitted
-/// request answered.
+/// request answered. One worker keeps the query behind the load; with
+/// two, the query can run first and find no program.
 #[test]
 fn eof_drains_and_exits_zero() {
-    let mut child = spawn_serve(&[]);
+    let mut child = spawn_serve(&["--workers", "1"]);
     {
         let stdin = child.stdin.as_mut().unwrap();
         writeln!(stdin, "{}", load_req(1, "boxy")).unwrap();
