@@ -228,8 +228,8 @@ impl<'a> LeakClient<'a> {
 
     /// Decides one edge, consulting and filling the shared decision cache.
     /// Refuted edges are deleted from the view. The search is
-    /// fault-contained and, when the configuration allows, retried under
-    /// coarser precision on abort.
+    /// fault-contained and, on abort, retried once without loop-invariant
+    /// inference (see [`symex::Engine::refute_edge_resilient`]).
     pub fn decide_edge(&mut self, edge: HeapEdge, stats: &mut ClientStats) -> CachedView {
         let mut tally = Tally::default();
         let answer = self.sched.decide_edge(edge, &mut tally);

@@ -12,11 +12,13 @@
 //!    splits, `queue_wait_ms`) vary run to run, which is why the whole
 //!    block is excluded from `--diff-reports` answer identity.
 //! 2. **The telemetry registry shadows the global recorder.** The daemon
-//!    binary only installs a global recorder with `--report-out`, so the
-//!    `metrics` method renders from [`Telemetry::registry`], which
-//!    receives every successful request's delta (via `replay_into`) and
+//!    binary always installs a global recorder: [`obs::capture`] only
+//!    buffers while one is live, and cost blocks, the exposition and the
+//!    slow log are all carved out of captured deltas. The `metrics` method
+//!    still renders from [`Telemetry::registry`], not the global registry;
+//!    it receives every successful request's delta (via `replay_into`) and
 //!    every daemon-level tally ([`super::Shared`] mirrors each `obs::add`
-//!    here). When both sinks are live their counter totals agree, modulo
+//!    here). Both sinks are live, and their counter totals agree, modulo
 //!    the in-flight scrape itself (`requests_completed` lags by exactly
 //!    the requests still executing when the exposition is rendered).
 //! 3. **Slow-log entries are bounded.** The JSONL slow log self-truncates:

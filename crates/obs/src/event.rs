@@ -26,7 +26,8 @@ pub enum SpanKind {
     Query,
     /// Refutation of one heap edge (all attempts).
     Edge,
-    /// One refutation attempt at a fixed precision (degradation ladder).
+    /// One refutation attempt at a fixed precision (the strict pass or the
+    /// coarse retry).
     Attempt,
     /// One witness search from one producing statement.
     Path,

@@ -78,9 +78,7 @@ metric_enum! {
         AbortPanic => "aborts_panic",
         /// Aborts: solver failure.
         AbortSolverFailure => "aborts_solver_failure",
-        /// Aborts: hard heap-cell cap.
-        AbortHeapCap => "aborts_heap_cap",
-        /// Degradation-ladder retries beyond the strict first attempt.
+        /// Coarse retries after an aborted strict attempt.
         DegradedRetries => "degraded_retries",
         /// Edges decided only by a coarsened retry.
         DegradedDecisions => "degraded_decisions",

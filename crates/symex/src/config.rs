@@ -1,6 +1,9 @@
 //! Engine configuration, including the ablation switches evaluated in §4
-//! and the robustness knobs (deadlines, degradation ladder, fault
-//! injection).
+//! and the robustness knobs (deadlines, fault injection). The one coarse
+//! retry of [`Engine::refute_edge_resilient`] has no knob: it derives its
+//! configuration from the base one by dropping loop-invariant inference.
+//!
+//! [`Engine::refute_edge_resilient`]: crate::Engine::refute_edge_resilient
 
 use std::time::Duration;
 
@@ -76,14 +79,6 @@ pub struct SymexConfig {
     ///
     /// [`StopReason::WallClock`]: crate::StopReason::WallClock
     pub total_deadline: Option<Duration>,
-    /// Enables the graceful degradation ladder in
-    /// [`Engine::refute_edge_resilient`]: an edge that aborts under this
-    /// configuration is retried under progressively coarser (still sound)
-    /// configurations. On by default; coarse retries may only *add*
-    /// refutations, never remove them.
-    ///
-    /// [`Engine::refute_edge_resilient`]: crate::Engine::refute_edge_resilient
-    pub degrade: bool,
     /// Enables must-not-null strong updates from branch guards: an
     /// `assume x != null` on an unbound reference local pins `x` to a fresh
     /// symbolic instance (symbolic values denote concrete instances, never
@@ -92,13 +87,6 @@ pub struct SymexConfig {
     /// "can null reach this dereference" queries; off by default so the
     /// escape/leak clients keep their historical path behavior.
     pub track_null_guards: bool,
-    /// When set, a query exceeding [`SymexConfig::max_heap_cells`] aborts
-    /// the search with [`StopReason::HeapCap`] instead of being truncated.
-    /// Off by default (truncation is the sound, paper-faithful behavior);
-    /// useful to detect workloads that rely on the soft cap.
-    ///
-    /// [`StopReason::HeapCap`]: crate::StopReason::HeapCap
-    pub hard_heap_cap: bool,
     /// Fault-injection hook for tests: panic inside the backwards `new`
     /// transfer when the allocation site carries this name. Exercises the
     /// drivers' panic containment; never set in production configs.
@@ -121,9 +109,7 @@ impl Default for SymexConfig {
             max_heap_cells: 24,
             edge_deadline: None,
             total_deadline: None,
-            degrade: true,
             track_null_guards: false,
-            hard_heap_cap: false,
             inject_panic_on_new: None,
         }
     }
@@ -171,12 +157,6 @@ impl SymexConfig {
         self
     }
 
-    /// Enables/disables the degradation ladder (builder style).
-    pub fn with_degrade(mut self, on: bool) -> Self {
-        self.degrade = on;
-        self
-    }
-
     /// Enables/disables must-not-null guard tracking (builder style).
     pub fn with_null_guards(mut self, on: bool) -> Self {
         self.track_null_guards = on;
@@ -199,9 +179,7 @@ mod tests {
         assert!(c.simplification);
         assert_eq!(c.edge_deadline, None);
         assert_eq!(c.total_deadline, None);
-        assert!(c.degrade);
         assert!(!c.track_null_guards);
-        assert!(!c.hard_heap_cap);
         assert!(c.inject_panic_on_new.is_none());
     }
 

@@ -200,19 +200,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Fault-contained refutation with graceful degradation: if the search
-    /// aborts under the configured precision, retry under progressively
-    /// coarser — but still sound — configurations (drop loop-invariant
-    /// inference, then path atoms, then halve the heap-cell cap) while the
-    /// deadline allows. A coarse refutation is still a refutation, so the
-    /// ladder can only *add* refutations relative to a single strict pass.
+    /// Fault-contained refutation with one coarse retry: if the search
+    /// aborts under the configured precision, it is retried once with
+    /// loop-invariant inference dropped ([`LoopMode::DropAll`], a coarser
+    /// but still sound configuration) unless the base configuration already
+    /// drops loops or the engine deadline has passed. A coarse refutation is
+    /// still a refutation, so the retry can only *add* refutations relative
+    /// to a single strict pass.
     pub fn refute_edge_resilient(&mut self, edge: &HeapEdge) -> EdgeDecision {
         self.refute_key_resilient(&RefKey::Edge(*edge))
     }
 
     /// [`Engine::refute_edge_resilient`] generalized over [`RefKey`]. This
-    /// is the *only* site bumping the edge-outcome and degradation
-    /// counters, so report totals match driver-level tallies exactly.
+    /// is the *only* site bumping the edge-outcome and retry counters, so
+    /// report totals match the scheduler's tallies exactly.
     pub fn refute_key_resilient(&mut self, key: &RefKey) -> EdgeDecision {
         let timer = obs::timer();
         let _span = obs::span_with(obs::SpanKind::Edge, || key.describe(self.program, self.pta));
@@ -241,38 +242,34 @@ impl<'a> Engine<'a> {
             let _attempt = obs::span(obs::SpanKind::Attempt, "strict");
             self.refute_key_contained(key)
         };
-        let reason = match first {
-            SearchOutcome::Refuted | SearchOutcome::Witnessed(_) => {
-                return EdgeDecision { outcome: first, attempts: 1, degraded: false };
-            }
-            SearchOutcome::Aborted(ref r) => r.clone(),
-        };
-        let mut attempts = 1;
-        if self.config.degrade {
-            for coarse in degradation_ladder(&self.config) {
-                if self.past_engine_deadline() {
-                    break;
-                }
-                attempts += 1;
-                let saved = std::mem::replace(&mut self.config, coarse);
-                let out = {
-                    let _attempt =
-                        obs::span_with(obs::SpanKind::Attempt, || format!("coarse-{attempts}"));
-                    self.refute_key_contained(key)
-                };
-                self.config = saved;
-                match out {
-                    SearchOutcome::Aborted(_) => continue,
-                    // Refuted or Witnessed: the coarse pass decided the
-                    // edge. Both are sound to report (a coarse witness only
-                    // means "not refuted", same as the abort it replaces).
-                    decided => {
-                        return EdgeDecision { outcome: decided, attempts, degraded: true };
-                    }
-                }
-            }
+        if !first.is_aborted()
+            || self.config.loop_mode == LoopMode::DropAll
+            || self.past_engine_deadline()
+        {
+            return EdgeDecision { outcome: first, attempts: 1, degraded: false };
         }
-        EdgeDecision { outcome: SearchOutcome::Aborted(reason), attempts, degraded: false }
+        // The injected fault is a test hook, not a precision setting: the
+        // retry runs without it.
+        let coarse = SymexConfig {
+            loop_mode: LoopMode::DropAll,
+            inject_panic_on_new: None,
+            ..self.config.clone()
+        };
+        let saved = std::mem::replace(&mut self.config, coarse);
+        let retry = {
+            let _attempt = obs::span(obs::SpanKind::Attempt, "coarse");
+            self.refute_key_contained(key)
+        };
+        self.config = saved;
+        match retry {
+            SearchOutcome::Aborted(_) => {
+                EdgeDecision { outcome: first, attempts: 2, degraded: false }
+            }
+            // Refuted or Witnessed: the coarse pass decided the edge. Both
+            // are sound to report (a coarse witness only means "not
+            // refuted", same as the abort it replaces).
+            decided => EdgeDecision { outcome: decided, attempts: 2, degraded: true },
+        }
     }
 
     /// True once the engine-wide deadline (from
@@ -927,34 +924,12 @@ impl<'a> Engine<'a> {
 pub struct EdgeDecision {
     /// The final outcome for the edge.
     pub outcome: SearchOutcome,
-    /// Total refutation attempts (1 = the strict pass alone).
+    /// Refutation attempts: 1 for the strict pass alone, 2 when the coarse
+    /// retry ran.
     pub attempts: u32,
-    /// True when the outcome came from a coarsened (degraded) retry rather
+    /// True when the outcome came from the coarse (degraded) retry rather
     /// than the originally configured precision.
     pub degraded: bool,
-}
-
-/// The graceful degradation ladder: successively coarser — but still sound —
-/// configurations derived from `base`. Each step over-approximates the
-/// previous one, so any refutation it produces is still a valid proof.
-fn degradation_ladder(base: &SymexConfig) -> Vec<SymexConfig> {
-    let mut steps = Vec::new();
-    let mut cfg = base.clone();
-    cfg.degrade = false;
-    cfg.inject_panic_on_new = None;
-    if cfg.loop_mode != LoopMode::DropAll {
-        cfg.loop_mode = LoopMode::DropAll;
-        steps.push(cfg.clone());
-    }
-    if cfg.max_path_atoms > 0 {
-        cfg.max_path_atoms = 0;
-        steps.push(cfg.clone());
-    }
-    if cfg.max_heap_cells > 4 {
-        cfg.max_heap_cells /= 2;
-        steps.push(cfg);
-    }
-    steps
 }
 
 /// Extracts a human-readable message from a caught panic payload.

@@ -351,167 +351,182 @@ fn worker(
     }
 }
 
-/// Coordinator-side demand for one key: cache hit, await, or compute
-/// inline; commit (account) the decision on first demand.
-#[allow(clippy::too_many_arguments)]
-fn demand<'a>(
-    key: RefKey,
-    cache: &CacheStripes,
-    disk: Option<&DiskTier<'a>>,
-    engine: &mut Engine<'a>,
-    committed: &mut HashMap<RefKey, EdgeDecision>,
-    stats: &mut SearchStats,
-    tally: &mut Tally,
-) -> EdgeAnswer {
-    if let Some(d) = committed.get(&key) {
-        // Already accounted: answer from the committed decision; no witness
-        // on cache hits (mirrors the historical per-client caches).
-        return match &d.outcome {
-            SearchOutcome::Refuted => EdgeAnswer::Refuted,
-            SearchOutcome::Witnessed(_) => EdgeAnswer::Witnessed(None),
-            SearchOutcome::Aborted(r) => EdgeAnswer::Aborted(r.clone()),
-        };
-    }
-    let stripe = cache.stripe(&key);
-    let entry: CacheEntry = 'get: {
-        let mut map = lock(&stripe.map);
-        loop {
-            match map.get(&key) {
-                Some(Slot::Done(e)) => break 'get (**e).clone(),
-                Some(Slot::InFlight) => {
-                    map = stripe.ready.wait(map).unwrap_or_else(|e| e.into_inner());
-                }
-                None => {
-                    map.insert(key, Slot::InFlight);
-                    break;
-                }
-            }
-        }
-        drop(map);
-        let entry =
-            disk.and_then(|d| consult_disk(d, &key)).unwrap_or_else(|| compute(engine, &key));
-        let mut map = lock(&stripe.map);
-        map.insert(key, Slot::Done(Box::new(entry.clone())));
-        drop(map);
-        stripe.ready.notify_all();
-        entry
-    };
-    // Commit: this is the only place buffered metrics reach the registry
-    // and the only recording site for the per-reason abort counters, so
-    // totals are identical for every worker count. The cache counters
-    // follow the same discipline: provenance travels on the entry, and
-    // only demanded (committed) decisions are counted.
-    entry.obs.replay();
-    stats.merge(&entry.stats);
-    if let Some(d) = disk {
-        let fp = d.fpr.fingerprint_key(&key);
-        let key_str = d.fpr.key_string(&key);
-        if entry.from_disk {
-            tally.cache_hits += 1;
-            obs::add(obs::Counter::CacheHits, 1);
-        } else {
-            if d.store.has_stale(&key_str, fp) {
-                tally.cache_invalidated += 1;
-                obs::add(obs::Counter::CacheInvalidated, 1);
-            } else {
-                tally.cache_misses += 1;
-                obs::add(obs::Counter::CacheMisses, 1);
-            }
-            d.store.record(
-                d.program,
-                fp,
-                &key_str,
-                &PersistedDecision {
-                    decision: entry.decision.clone(),
-                    stats: entry.stats.clone(),
-                    obs: entry.obs.clone(),
-                    elapsed: entry.elapsed,
-                },
-            );
-        }
-    }
-    if !entry.from_disk {
-        tally.fresh_path_programs += entry.stats.path_programs;
-    }
-    tally.symex_time += entry.elapsed;
-    tally.retries += u64::from(entry.decision.attempts.saturating_sub(1));
-    if entry.decision.degraded {
-        tally.degraded_decisions += 1;
-    }
-    let answer = match &entry.decision.outcome {
-        SearchOutcome::Refuted => {
-            tally.edges_refuted += 1;
-            EdgeAnswer::Refuted
-        }
-        SearchOutcome::Witnessed(w) => {
-            tally.edges_witnessed += 1;
-            EdgeAnswer::Witnessed(Some(w.clone()))
-        }
-        SearchOutcome::Aborted(r) => {
-            tally.edge_timeouts += 1;
-            tally.aborts.record(r);
-            EdgeAnswer::Aborted(r.clone())
-        }
-    };
-    committed.insert(key, entry.decision);
-    answer
+/// The coordinator's half of a [`RefutationScheduler`]: the tiers it
+/// shares with the workers, plus the state only it mutates — its engine,
+/// the committed decisions and the merged statistics. Borrowed field by
+/// field, so workers can hold the shared tiers at the same time.
+struct Coordinator<'s, 'a> {
+    program: &'a Program,
+    cache: &'s CacheStripes,
+    disk: Option<&'s DiskTier<'a>>,
+    engine: &'s mut Engine<'a>,
+    committed: &'s mut HashMap<RefKey, EdgeDecision>,
+    stats: &'s mut SearchStats,
 }
 
-/// The sequential refute-and-reroute loop for one job, demanding edge
-/// decisions through the shared cache.
-#[allow(clippy::too_many_arguments)]
-fn run_job<'a>(
-    program: &'a Program,
-    view: &mut HeapGraphView<'_>,
-    job: &ReachJob,
-    queue: Option<&RunQueue>,
-    cache: &CacheStripes,
-    disk: Option<&DiskTier<'a>>,
-    engine: &mut Engine<'a>,
-    committed: &mut HashMap<RefKey, EdgeDecision>,
-    stats: &mut SearchStats,
-    tally: &mut Tally,
-) -> JobVerdict {
-    let mut refuted_edges = Vec::new();
-    'paths: loop {
-        let Some(path) = view.find_path(program, job.source, &job.targets) else {
-            return JobVerdict::Refuted { refuted_edges };
-        };
+impl Coordinator<'_, '_> {
+    /// Speculation hints for the not-yet-committed `keys`, deduplicated,
+    /// all sharing one cancellation token.
+    fn hints(&self, keys: impl IntoIterator<Item = RefKey>) -> Vec<Hint> {
         let cancel = Arc::new(AtomicBool::new(false));
-        if let Some(q) = queue {
-            q.push(
-                path.iter()
-                    .filter(|&&e| !committed.contains_key(&RefKey::Edge(e)))
-                    .map(|&edge| Hint { key: RefKey::Edge(edge), cancel: cancel.clone() })
-                    .collect(),
-            );
+        let mut seen = HashSet::new();
+        keys.into_iter()
+            .filter(|key| !self.committed.contains_key(key) && seen.insert(*key))
+            .map(|key| Hint { key, cancel: cancel.clone() })
+            .collect()
+    }
+
+    /// Demand for one key: cache hit, await, or compute inline; commit
+    /// (account) the decision on first demand.
+    fn demand(&mut self, key: RefKey, tally: &mut Tally) -> EdgeAnswer {
+        if let Some(d) = self.committed.get(&key) {
+            // Already accounted: answer from the committed decision; no
+            // witness on cache hits (mirrors the historical per-client
+            // caches).
+            return match &d.outcome {
+                SearchOutcome::Refuted => EdgeAnswer::Refuted,
+                SearchOutcome::Witnessed(_) => EdgeAnswer::Witnessed(None),
+                SearchOutcome::Aborted(r) => EdgeAnswer::Aborted(r.clone()),
+            };
         }
-        let mut last_witness = None;
-        for (i, &edge) in path.iter().enumerate() {
-            match demand(RefKey::Edge(edge), cache, disk, engine, committed, stats, tally) {
-                EdgeAnswer::Refuted => {
-                    view.delete(edge);
-                    refuted_edges.push(edge);
-                    // The rest of this path is moot: deschedule its pending
-                    // edges. The count only looks at coordinator-committed
-                    // state, so it is identical for every worker count.
-                    cancel.store(true, Ordering::Relaxed);
-                    let descheduled = path[i + 1..]
-                        .iter()
-                        .filter(|&&e| !committed.contains_key(&RefKey::Edge(e)))
-                        .count() as u64;
-                    if descheduled > 0 {
-                        tally.edges_descheduled += descheduled;
-                        obs::add(obs::Counter::EdgesDescheduled, descheduled);
+        let stripe = self.cache.stripe(&key);
+        let entry: CacheEntry = 'get: {
+            let mut map = lock(&stripe.map);
+            loop {
+                match map.get(&key) {
+                    Some(Slot::Done(e)) => break 'get (**e).clone(),
+                    Some(Slot::InFlight) => {
+                        map = stripe.ready.wait(map).unwrap_or_else(|e| e.into_inner());
                     }
-                    continue 'paths;
+                    None => {
+                        map.insert(key, Slot::InFlight);
+                        break;
+                    }
                 }
-                EdgeAnswer::Witnessed(w) => last_witness = w.or(last_witness),
-                // An abort is soundly treated as not-refuted.
-                EdgeAnswer::Aborted(_) => {}
+            }
+            drop(map);
+            let entry = self
+                .disk
+                .and_then(|d| consult_disk(d, &key))
+                .unwrap_or_else(|| compute(self.engine, &key));
+            let mut map = lock(&stripe.map);
+            map.insert(key, Slot::Done(Box::new(entry.clone())));
+            drop(map);
+            stripe.ready.notify_all();
+            entry
+        };
+        // Commit: this is the only place buffered metrics reach the
+        // registry and the only recording site for the per-reason abort
+        // counters, so totals are identical for every worker count. The
+        // cache counters follow the same discipline: provenance travels on
+        // the entry, and only demanded (committed) decisions are counted.
+        entry.obs.replay();
+        self.stats.merge(&entry.stats);
+        if let Some(d) = self.disk {
+            let fp = d.fpr.fingerprint_key(&key);
+            let key_str = d.fpr.key_string(&key);
+            if entry.from_disk {
+                tally.cache_hits += 1;
+                obs::add(obs::Counter::CacheHits, 1);
+            } else {
+                if d.store.has_stale(&key_str, fp) {
+                    tally.cache_invalidated += 1;
+                    obs::add(obs::Counter::CacheInvalidated, 1);
+                } else {
+                    tally.cache_misses += 1;
+                    obs::add(obs::Counter::CacheMisses, 1);
+                }
+                d.store.record(
+                    d.program,
+                    fp,
+                    &key_str,
+                    &PersistedDecision {
+                        decision: entry.decision.clone(),
+                        stats: entry.stats.clone(),
+                        obs: entry.obs.clone(),
+                        elapsed: entry.elapsed,
+                    },
+                );
             }
         }
-        return JobVerdict::Witnessed { path, witness: last_witness };
+        if !entry.from_disk {
+            tally.fresh_path_programs += entry.stats.path_programs;
+        }
+        tally.symex_time += entry.elapsed;
+        tally.retries += u64::from(entry.decision.attempts.saturating_sub(1));
+        if entry.decision.degraded {
+            tally.degraded_decisions += 1;
+        }
+        let answer = match &entry.decision.outcome {
+            SearchOutcome::Refuted => {
+                tally.edges_refuted += 1;
+                EdgeAnswer::Refuted
+            }
+            SearchOutcome::Witnessed(w) => {
+                tally.edges_witnessed += 1;
+                EdgeAnswer::Witnessed(Some(w.clone()))
+            }
+            SearchOutcome::Aborted(r) => {
+                tally.edge_timeouts += 1;
+                tally.aborts.record(r);
+                EdgeAnswer::Aborted(r.clone())
+            }
+        };
+        self.committed.insert(key, entry.decision);
+        answer
+    }
+
+    /// The sequential refute-and-reroute loop for one job, demanding edge
+    /// decisions through the shared cache.
+    fn run_job(
+        &mut self,
+        view: &mut HeapGraphView<'_>,
+        job: &ReachJob,
+        queue: Option<&RunQueue>,
+        tally: &mut Tally,
+    ) -> JobVerdict {
+        let mut refuted_edges = Vec::new();
+        'paths: loop {
+            let Some(path) = view.find_path(self.program, job.source, &job.targets) else {
+                return JobVerdict::Refuted { refuted_edges };
+            };
+            let cancel = Arc::new(AtomicBool::new(false));
+            if let Some(q) = queue {
+                q.push(
+                    path.iter()
+                        .filter(|&&e| !self.committed.contains_key(&RefKey::Edge(e)))
+                        .map(|&edge| Hint { key: RefKey::Edge(edge), cancel: cancel.clone() })
+                        .collect(),
+                );
+            }
+            let mut last_witness = None;
+            for (i, &edge) in path.iter().enumerate() {
+                match self.demand(RefKey::Edge(edge), tally) {
+                    EdgeAnswer::Refuted => {
+                        view.delete(edge);
+                        refuted_edges.push(edge);
+                        // The rest of this path is moot: deschedule its
+                        // pending edges. The count only looks at
+                        // coordinator-committed state, so it is identical
+                        // for every worker count.
+                        cancel.store(true, Ordering::Relaxed);
+                        let descheduled = path[i + 1..]
+                            .iter()
+                            .filter(|&&e| !self.committed.contains_key(&RefKey::Edge(e)))
+                            .count() as u64;
+                        if descheduled > 0 {
+                            tally.edges_descheduled += descheduled;
+                            obs::add(obs::Counter::EdgesDescheduled, descheduled);
+                        }
+                        continue 'paths;
+                    }
+                    EdgeAnswer::Witnessed(w) => last_witness = w.or(last_witness),
+                    // An abort is soundly treated as not-refuted.
+                    EdgeAnswer::Aborted(_) => {}
+                }
+            }
+            return JobVerdict::Witnessed { path, witness: last_witness };
+        }
     }
 }
 
@@ -665,15 +680,54 @@ impl<'a> RefutationScheduler<'a> {
     }
 
     fn decide_key(&mut self, key: RefKey, tally: &mut Tally) -> EdgeAnswer {
-        demand(
-            key,
-            &self.cache,
-            self.disk.as_ref(),
-            &mut self.engine,
-            &mut self.committed,
-            &mut self.stats,
-            tally,
-        )
+        self.coordinator().demand(key, tally)
+    }
+
+    fn coordinator(&mut self) -> Coordinator<'_, 'a> {
+        Coordinator {
+            program: self.program,
+            cache: &self.cache,
+            disk: self.disk.as_ref(),
+            engine: &mut self.engine,
+            committed: &mut self.committed,
+            stats: &mut self.stats,
+        }
+    }
+
+    /// Runs `coordinate` on the calling thread. With `jobs > 1` it runs
+    /// beside `jobs - 1` scoped speculation workers — one engine each, all
+    /// under the shared deadline — and gets their queue; the queue is
+    /// finished when `coordinate` returns, so the workers exit. With
+    /// `jobs = 1` no thread is spawned and `coordinate` gets no queue.
+    fn with_workers<R>(
+        &mut self,
+        coordinate: impl FnOnce(Option<&RunQueue>, Coordinator<'_, 'a>) -> R,
+    ) -> R {
+        let workers = self.jobs - 1;
+        if workers == 0 {
+            return coordinate(None, self.coordinator());
+        }
+        let (pta, modref, deadline_at) = (self.pta, self.modref, self.deadline_at);
+        let config = self.config.clone();
+        let c = self.coordinator();
+        let (program, cache, disk) = (c.program, c.cache, c.disk);
+        let queue = RunQueue::new();
+        std::thread::scope(|s| {
+            for i in 0..workers {
+                let (cfg, queue) = (config.clone(), &queue);
+                std::thread::Builder::new()
+                    .name(format!("refute-{i}"))
+                    .spawn_scoped(s, move || {
+                        let mut e = Engine::new(program, pta, modref, cfg);
+                        e.set_deadline_at(deadline_at);
+                        worker(queue, cache, disk, e);
+                    })
+                    .expect("spawn refutation worker");
+            }
+            let out = coordinate(Some(&queue), c);
+            queue.finish();
+            out
+        })
     }
 
     /// Decides every candidate dereference in `sites`, in order, through
@@ -686,57 +740,14 @@ impl<'a> RefutationScheduler<'a> {
         sites: &[DerefSite],
         tally: &mut Tally,
     ) -> Vec<(DerefSite, EdgeAnswer)> {
-        let workers = self.jobs - 1;
-        if workers == 0 {
-            return sites
-                .iter()
-                .map(|&site| (site, self.decide_key(RefKey::Deref(site), tally)))
-                .collect();
-        }
-        let program = self.program;
-        let pta = self.pta;
-        let modref = self.modref;
-        let deadline_at = self.deadline_at;
-        let cache = &self.cache;
-        let disk = self.disk.as_ref();
-        let engine = &mut self.engine;
-        let committed = &mut self.committed;
-        let stats = &mut self.stats;
-        let queue = RunQueue::new();
-        let mut out = Vec::with_capacity(sites.len());
-        std::thread::scope(|s| {
-            for i in 0..workers {
-                let cfg = self.config.clone();
-                let queue = &queue;
-                std::thread::Builder::new()
-                    .name(format!("refute-{i}"))
-                    .spawn_scoped(s, move || {
-                        let mut e = Engine::new(program, pta, modref, cfg);
-                        e.set_deadline_at(deadline_at);
-                        worker(queue, cache, disk, e);
-                    })
-                    .expect("spawn refutation worker");
+        self.with_workers(|queue, mut c| {
+            if let Some(queue) = queue {
+                // Seed the whole batch; sites are independent, so nothing
+                // is ever descheduled.
+                queue.push(c.hints(sites.iter().map(|&site| RefKey::Deref(site))));
             }
-            // Seed the whole batch; sites are independent, so nothing is
-            // ever descheduled.
-            let cancel = Arc::new(AtomicBool::new(false));
-            let mut seen = HashSet::new();
-            let mut seeds = Vec::new();
-            for &site in sites {
-                let key = RefKey::Deref(site);
-                if !committed.contains_key(&key) && seen.insert(key) {
-                    seeds.push(Hint { key, cancel: cancel.clone() });
-                }
-            }
-            queue.push(seeds);
-            for &site in sites {
-                let answer =
-                    demand(RefKey::Deref(site), cache, disk, engine, committed, stats, tally);
-                out.push((site, answer));
-            }
-            queue.finish();
-        });
-        out
+            sites.iter().map(|&site| (site, c.demand(RefKey::Deref(site), tally))).collect()
+        })
     }
 
     /// Runs the given jobs in order over `view`. The verdicts, committed
@@ -745,84 +756,17 @@ impl<'a> RefutationScheduler<'a> {
     /// wall clock is not.
     pub fn run(&mut self, view: &mut HeapGraphView<'_>, work: &[ReachJob]) -> SchedulerOutcome {
         let mut tally = Tally::default();
-        let mut verdicts = Vec::with_capacity(work.len());
-        let workers = self.jobs - 1;
-        if workers == 0 {
-            // Sequential fast path: no threads, no queue, no speculation —
-            // this is the historical driver loop verbatim.
-            for job in work {
-                verdicts.push(run_job(
-                    self.program,
-                    view,
-                    job,
-                    None,
-                    &self.cache,
-                    self.disk.as_ref(),
-                    &mut self.engine,
-                    &mut self.committed,
-                    &mut self.stats,
-                    &mut tally,
-                ));
+        let verdicts = self.with_workers(|queue, mut c| {
+            if let Some(queue) = queue {
+                // Pre-seed speculation with every job's initial path so
+                // workers chew on later jobs while the coordinator walks
+                // earlier ones. Later deletions may invalidate these paths;
+                // that only wastes speculative work, never correctness.
+                let paths =
+                    work.iter().filter_map(|j| view.find_path(c.program, j.source, &j.targets));
+                queue.push(c.hints(paths.flatten().map(RefKey::Edge)));
             }
-            return SchedulerOutcome { verdicts, tally };
-        }
-
-        let program = self.program;
-        let pta = self.pta;
-        let modref = self.modref;
-        let deadline_at = self.deadline_at;
-        let cache = &self.cache;
-        let disk = self.disk.as_ref();
-        let engine = &mut self.engine;
-        let committed = &mut self.committed;
-        let stats = &mut self.stats;
-        let queue = RunQueue::new();
-        std::thread::scope(|s| {
-            for i in 0..workers {
-                let cfg = self.config.clone();
-                let queue = &queue;
-                std::thread::Builder::new()
-                    .name(format!("refute-{i}"))
-                    .spawn_scoped(s, move || {
-                        let mut e = Engine::new(program, pta, modref, cfg);
-                        e.set_deadline_at(deadline_at);
-                        worker(queue, cache, disk, e);
-                    })
-                    .expect("spawn refutation worker");
-            }
-            // Pre-seed speculation with every job's initial path so workers
-            // chew on later jobs while the coordinator walks earlier ones.
-            // Later deletions may invalidate these paths; that only wastes
-            // speculative work, never correctness.
-            let seed = Arc::new(AtomicBool::new(false));
-            let mut seen = HashSet::new();
-            let mut seeds = Vec::new();
-            for job in work {
-                if let Some(path) = view.find_path(program, job.source, &job.targets) {
-                    for edge in path {
-                        let key = RefKey::Edge(edge);
-                        if !committed.contains_key(&key) && seen.insert(key) {
-                            seeds.push(Hint { key, cancel: seed.clone() });
-                        }
-                    }
-                }
-            }
-            queue.push(seeds);
-            for job in work {
-                verdicts.push(run_job(
-                    program,
-                    view,
-                    job,
-                    Some(&queue),
-                    cache,
-                    disk,
-                    engine,
-                    committed,
-                    stats,
-                    &mut tally,
-                ));
-            }
-            queue.finish();
+            work.iter().map(|job| c.run_job(view, job, queue, &mut tally)).collect()
         });
         SchedulerOutcome { verdicts, tally }
     }

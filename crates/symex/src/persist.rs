@@ -1,4 +1,4 @@
-//! Persistent cross-run refutation cache (`thresher.cache/1`).
+//! Persistent cross-run refutation cache (`thresher.cache/2`).
 //!
 //! Edge decisions are pure functions of the program slice they examine,
 //! so they survive across processes: every decision the coordinator
@@ -16,14 +16,14 @@
 //! # Store format
 //!
 //! One JSONL file (`decisions.jsonl`) per cache directory. The first
-//! line is a header `{"schema":"thresher.cache/1"}`; every other line is
+//! line is a header `{"schema":"thresher.cache/2"}`; every other line is
 //! one decision record serialized with [`obs::json`]. Corruption
 //! degrades, never propagates: an unparseable or unresolvable line is
 //! skipped (counted under [`obs::Counter::CacheSkippedCorrupt`]), a
 //! truncated tail is just another skipped line, and a header mismatch
 //! discards the whole file — every failure mode falls back to a cold
-//! computation through the engine's existing resilience ladder, never a
-//! panic and never a wrong answer.
+//! computation ([`crate::Engine::refute_key_resilient`]), never a panic
+//! and never a wrong answer.
 //!
 //! # Identity across runs
 //!
@@ -51,8 +51,10 @@ use crate::key::RefKey;
 use crate::stats::{RefutationCounts, SearchOutcome, SearchStats, StopReason, Witness};
 use crate::SymexConfig;
 
-/// The store schema identifier; a mismatch discards the whole file.
-pub const CACHE_SCHEMA: &str = "thresher.cache/1";
+/// The store schema identifier; a mismatch discards the whole file. Bump
+/// it whenever the config fingerprint key or the meaning of a record field
+/// changes.
+pub const CACHE_SCHEMA: &str = "thresher.cache/2";
 
 /// File name of the decision store inside a cache directory.
 pub const CACHE_FILE: &str = "decisions.jsonl";
@@ -387,7 +389,7 @@ fn config_fingerprint_key(c: &SymexConfig) -> String {
     format!(
         "repr={:?};loop={:?};simp={};budget={};call_depth={};path_atoms={};iter_cap={};\
          mat_bound={};trace_cap={};heap_cells={};edge_deadline={:?};total_deadline={:?};\
-         degrade={};null_guards={};hard_heap_cap={};inject={:?}",
+         null_guards={};inject={:?}",
         c.representation,
         c.loop_mode,
         c.simplification,
@@ -400,9 +402,7 @@ fn config_fingerprint_key(c: &SymexConfig) -> String {
         c.max_heap_cells,
         c.edge_deadline,
         c.total_deadline,
-        c.degrade,
         c.track_null_guards,
-        c.hard_heap_cap,
         c.inject_panic_on_new,
     )
 }
@@ -563,7 +563,7 @@ impl DecisionStore {
                             if line.trim().is_empty() {
                                 continue;
                             }
-                            match parse_record(program, &resolver, line) {
+                            match parse_record(&resolver, line) {
                                 Some((fp, edge_key, d)) => {
                                     edge_fps.entry(edge_key).or_default().insert(fp);
                                     records.insert(fp, d);
@@ -1045,12 +1045,7 @@ fn serialize_record(
     ]))
 }
 
-fn parse_record(
-    program: &Program,
-    resolver: &MethodResolver,
-    line: &str,
-) -> Option<(u64, String, PersistedDecision)> {
-    let _ = program;
+fn parse_record(resolver: &MethodResolver, line: &str) -> Option<(u64, String, PersistedDecision)> {
     let v = obs::json::parse(line).ok()?;
     let fp = u64::from_str_radix(v.get("fp")?.as_str()?, 16).ok()?;
     let edge_key = v.get("edge")?.as_str()?.to_owned();

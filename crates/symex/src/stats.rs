@@ -66,12 +66,6 @@ pub enum StopReason {
     /// overflow while normalizing); treated as satisfiable, i.e. the path
     /// stays alive and the edge is not refuted.
     SolverFailure,
-    /// A query exceeded the hard heap-cell limit (only with
-    /// [`SymexConfig::hard_heap_cap`]; the default soft cap truncates
-    /// instead).
-    ///
-    /// [`SymexConfig::hard_heap_cap`]: crate::SymexConfig::hard_heap_cap
-    HeapCap,
 }
 
 impl StopReason {
@@ -88,7 +82,6 @@ impl StopReason {
             StopReason::CallerDepth => "caller-depth",
             StopReason::Panic(_) => "panic",
             StopReason::SolverFailure => "solver-failure",
-            StopReason::HeapCap => "heap-cap",
         }
     }
 
@@ -101,12 +94,11 @@ impl StopReason {
             StopReason::CallerDepth => obs::Counter::AbortCallerDepth,
             StopReason::Panic(_) => obs::Counter::AbortPanic,
             StopReason::SolverFailure => obs::Counter::AbortSolverFailure,
-            StopReason::HeapCap => obs::Counter::AbortHeapCap,
         }
     }
 
     /// Every reason once (panic with an empty payload), in key order.
-    pub fn all() -> [StopReason; 7] {
+    pub fn all() -> [StopReason; 6] {
         [
             StopReason::ForkBudget,
             StopReason::WorkBudget,
@@ -114,7 +106,6 @@ impl StopReason {
             StopReason::CallerDepth,
             StopReason::Panic(String::new()),
             StopReason::SolverFailure,
-            StopReason::HeapCap,
         ]
     }
 }
@@ -128,7 +119,6 @@ impl std::fmt::Display for StopReason {
             StopReason::CallerDepth => write!(f, "caller depth cap"),
             StopReason::Panic(msg) => write!(f, "contained panic: {msg}"),
             StopReason::SolverFailure => write!(f, "solver failure"),
-            StopReason::HeapCap => write!(f, "hard heap-cell cap"),
         }
     }
 }
@@ -164,7 +154,6 @@ impl std::str::FromStr for StopReason {
             "caller-depth" | "caller depth cap" => StopReason::CallerDepth,
             "panic" => StopReason::Panic(String::new()),
             "solver-failure" | "solver failure" => StopReason::SolverFailure,
-            "heap-cap" | "hard heap-cell cap" => StopReason::HeapCap,
             _ => return Err(ParseStopReasonError(s.to_owned())),
         })
     }
@@ -228,8 +217,6 @@ pub struct AbortCounts {
     pub panic: u64,
     /// Aborts from solver failures.
     pub solver_failure: u64,
-    /// Aborts from the hard heap-cell cap.
-    pub heap_cap: u64,
 }
 
 impl AbortCounts {
@@ -244,7 +231,6 @@ impl AbortCounts {
             StopReason::CallerDepth => self.caller_depth += 1,
             StopReason::Panic(_) => self.panic += 1,
             StopReason::SolverFailure => self.solver_failure += 1,
-            StopReason::HeapCap => self.heap_cap += 1,
         }
         obs::add(reason.counter(), 1);
     }
@@ -259,11 +245,10 @@ impl AbortCounts {
         self.caller_depth += other.caller_depth;
         self.panic += other.panic;
         self.solver_failure += other.solver_failure;
-        self.heap_cap += other.heap_cap;
     }
 
     /// `(stable key, count)` pairs in [`StopReason::all`] order.
-    pub fn by_key(&self) -> [(&'static str, u64); 7] {
+    pub fn by_key(&self) -> [(&'static str, u64); 6] {
         [
             ("fork-budget", self.fork_budget),
             ("work-budget", self.work_budget),
@@ -271,7 +256,6 @@ impl AbortCounts {
             ("caller-depth", self.caller_depth),
             ("panic", self.panic),
             ("solver-failure", self.solver_failure),
-            ("heap-cap", self.heap_cap),
         ]
     }
 
@@ -283,7 +267,6 @@ impl AbortCounts {
             + self.caller_depth
             + self.panic
             + self.solver_failure
-            + self.heap_cap
     }
 
     /// A compact single-line rendering of the non-zero counters. Labels are

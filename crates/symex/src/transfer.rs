@@ -107,16 +107,10 @@ impl Engine<'_> {
     /// (a discharged satisfiable query is `any`).
     fn finish(&mut self, qs: Vec<Query>) -> Flow {
         let cap = self.config.max_heap_cells;
-        let hard_cap = self.config.hard_heap_cap;
         let mut capped = Vec::with_capacity(qs.len());
         for mut q in qs {
             // Bound query size: drop the newest cells beyond the cap
-            // (sound weakening; keeps transfers and entailment cheap). With
-            // `hard_heap_cap` the overflow aborts instead, surfacing
-            // workloads that depend on the truncation.
-            if q.heap.len() > cap && hard_cap {
-                return Err(Stop::Aborted(StopReason::HeapCap));
-            }
+            // (sound weakening; keeps transfers and entailment cheap).
             while q.heap.len() > cap {
                 q.heap.pop();
             }

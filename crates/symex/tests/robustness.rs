@@ -1,18 +1,18 @@
 //! Fault-containment and graceful-degradation tests for the refutation
 //! driver: wall-clock deadlines, injected panics, budget exhaustion, and
-//! the precision-degradation ladder.
+//! the one coarse retry.
 
 use std::time::Duration;
 
 use pta::{analyze, ContextPolicy, HeapEdge, LocId, ModRef, PtaResult};
-use symex::{Engine, SearchOutcome, StopReason, SymexConfig};
+use symex::{Engine, LoopMode, SearchOutcome, StopReason, SymexConfig};
 use tir::Program;
 
 /// A program whose `box0.item -> secret0` edge is refutable, but only
 /// after exploring a fork-heavy loop: under `LoopMode::Infer` the search
 /// needs hundreds of path programs, while the degraded `DropAll` retry
 /// needs a handful. A fork budget in between makes the strict pass abort
-/// and the ladder succeed.
+/// and the coarse retry succeed.
 const FORK_HEAVY: &str = r#"
 class Box { field item: Object; field other: Box; }
 global PUB: Box;
@@ -80,7 +80,7 @@ impl Setup {
 #[test]
 fn zero_total_deadline_aborts_wall_clock() {
     let s = setup(FORK_HEAVY);
-    let cfg = SymexConfig::default().with_total_deadline(Duration::ZERO).with_degrade(false);
+    let cfg = SymexConfig::default().with_total_deadline(Duration::ZERO);
     let mut engine = s.engine(cfg);
     match engine.refute_edge(&s.item_edge()) {
         SearchOutcome::Aborted(StopReason::WallClock) => {}
@@ -91,7 +91,7 @@ fn zero_total_deadline_aborts_wall_clock() {
 #[test]
 fn zero_edge_deadline_aborts_wall_clock() {
     let s = setup(FORK_HEAVY);
-    let cfg = SymexConfig::default().with_edge_deadline(Duration::ZERO).with_degrade(false);
+    let cfg = SymexConfig::default().with_edge_deadline(Duration::ZERO);
     let mut engine = s.engine(cfg);
     match engine.refute_edge(&s.item_edge()) {
         SearchOutcome::Aborted(StopReason::WallClock) => {}
@@ -108,7 +108,7 @@ fn generous_deadline_does_not_perturb_outcome() {
 }
 
 // ---------------------------------------------------------------------------
-// Budget exhaustion and the degradation ladder
+// Budget exhaustion and the coarse retry
 // ---------------------------------------------------------------------------
 
 /// Between the ~3 path programs `DropAll` needs and the ~289 `Infer` needs.
@@ -131,17 +131,34 @@ fn ladder_recovers_refutation_after_budget_abort() {
     let decision = engine.refute_edge_resilient(&s.item_edge());
     assert!(
         decision.outcome.is_refuted(),
-        "ladder should refute where the strict pass aborts, got {:?}",
+        "the coarse retry should refute where the strict pass aborts, got {:?}",
         decision.outcome
     );
     assert!(decision.degraded, "refutation should be attributed to a degraded retry");
-    assert!(decision.attempts >= 2, "expected at least one retry, got {}", decision.attempts);
+    assert_eq!(decision.attempts, 2);
 }
 
 #[test]
-fn degrade_disabled_preserves_abort() {
+fn one_coarse_retry_then_abort() {
     let s = setup(FORK_HEAVY);
-    let cfg = SymexConfig::default().with_budget(SPLITTING_BUDGET).with_degrade(false);
+    // Budget 1 starves both passes: the strict pass aborts, the coarse
+    // retry aborts too, and nothing further is tried.
+    let mut engine = s.engine(SymexConfig::default().with_budget(1));
+    let decision = engine.refute_edge_resilient(&s.item_edge());
+    match decision.outcome {
+        SearchOutcome::Aborted(StopReason::ForkBudget) => {}
+        other => panic!("expected Aborted(ForkBudget), got {other:?}"),
+    }
+    assert_eq!(decision.attempts, 2);
+    assert!(!decision.degraded);
+}
+
+#[test]
+fn drop_all_base_gets_no_retry() {
+    let s = setup(FORK_HEAVY);
+    // A base that already drops loops has no coarser configuration to
+    // retry under: the strict abort stands.
+    let cfg = SymexConfig::default().with_loop_mode(LoopMode::DropAll).with_budget(1);
     let mut engine = s.engine(cfg);
     let decision = engine.refute_edge_resilient(&s.item_edge());
     match decision.outcome {
@@ -158,11 +175,11 @@ fn ladder_restores_strict_config() {
     let cfg = SymexConfig::default().with_budget(SPLITTING_BUDGET);
     let mut engine = s.engine(cfg.clone());
     let _ = engine.refute_edge_resilient(&s.item_edge());
-    // The degraded retries must not leak their coarsened settings back
-    // into the engine: a second strict pass behaves like the first.
+    // The coarse retry must not leak its settings back into the engine: a
+    // second strict pass behaves like the first.
     match engine.refute_edge(&s.item_edge()) {
         SearchOutcome::Aborted(StopReason::ForkBudget) => {}
-        other => panic!("config leaked from ladder: second strict pass gave {other:?}"),
+        other => panic!("config leaked from the retry: second strict pass gave {other:?}"),
     }
 }
 
@@ -173,8 +190,7 @@ fn ladder_restores_strict_config() {
 #[test]
 fn injected_panic_is_contained() {
     let s = setup(FORK_HEAVY);
-    let mut cfg = SymexConfig::default().with_degrade(false);
-    cfg.inject_panic_on_new = Some("box0".into());
+    let cfg = SymexConfig { inject_panic_on_new: Some("box0".into()), ..SymexConfig::default() };
     let mut engine = s.engine(cfg);
     match engine.refute_edge_contained(&s.item_edge()) {
         SearchOutcome::Aborted(StopReason::Panic(msg)) => {
@@ -189,12 +205,12 @@ fn resilient_driver_recovers_from_panic() {
     let s = setup(FORK_HEAVY);
     let cfg = SymexConfig { inject_panic_on_new: Some("box0".into()), ..SymexConfig::default() };
     let mut engine = s.engine(cfg);
-    // The strict pass panics; the ladder strips the injection (it is a
-    // test-only fault, not a precision setting) and refutes coarsely.
+    // The strict pass panics; the coarse retry strips the injection (it is
+    // a test-only fault, not a precision setting) and refutes coarsely.
     let decision = engine.refute_edge_resilient(&s.item_edge());
     assert!(
         decision.outcome.is_refuted(),
-        "ladder should recover from a contained panic, got {:?}",
+        "the coarse retry should recover from a contained panic, got {:?}",
         decision.outcome
     );
     assert!(decision.degraded);
@@ -203,8 +219,7 @@ fn resilient_driver_recovers_from_panic() {
 #[test]
 fn engine_stays_usable_after_contained_panic() {
     let s = setup(FORK_HEAVY);
-    let mut cfg = SymexConfig::default().with_degrade(false);
-    cfg.inject_panic_on_new = Some("box0".into());
+    let cfg = SymexConfig { inject_panic_on_new: Some("box0".into()), ..SymexConfig::default() };
     let mut engine = s.engine(cfg);
     let first = engine.refute_edge_contained(&s.item_edge());
     assert!(matches!(first, SearchOutcome::Aborted(StopReason::Panic(_))));
@@ -214,31 +229,15 @@ fn engine_stays_usable_after_contained_panic() {
 }
 
 // ---------------------------------------------------------------------------
-// Hard heap cap
+// Heap-cell cap
 // ---------------------------------------------------------------------------
-
-#[test]
-fn hard_heap_cap_aborts_instead_of_truncating() {
-    let s = setup(FORK_HEAVY);
-    let cfg = SymexConfig {
-        max_heap_cells: 0,
-        hard_heap_cap: true,
-        degrade: false,
-        ..SymexConfig::default()
-    };
-    let mut engine = s.engine(cfg);
-    match engine.refute_edge(&s.item_edge()) {
-        SearchOutcome::Aborted(StopReason::HeapCap) => {}
-        other => panic!("expected Aborted(HeapCap), got {other:?}"),
-    }
-}
 
 #[test]
 fn soft_heap_cap_still_decides() {
     let s = setup(FORK_HEAVY);
     let cfg = SymexConfig { max_heap_cells: 0, ..SymexConfig::default() };
-    // hard_heap_cap defaults to false: the seed behavior (sound
-    // truncation) keeps deciding the edge.
+    // Cells past the cap are truncated (a sound weakening), so the search
+    // keeps deciding the edge instead of giving up.
     let mut engine = s.engine(cfg);
     assert!(!matches!(engine.refute_edge(&s.item_edge()), SearchOutcome::Aborted(_)));
 }
@@ -251,7 +250,7 @@ fn soft_heap_cap_still_decides() {
 fn abort_counts_describe_reasons() {
     let s = setup(FORK_HEAVY);
     let mut counts = symex::AbortCounts::default();
-    let cfg = SymexConfig::default().with_budget(SPLITTING_BUDGET).with_degrade(false);
+    let cfg = SymexConfig::default().with_budget(SPLITTING_BUDGET);
     let mut engine = s.engine(cfg);
     if let SearchOutcome::Aborted(reason) = engine.refute_edge(&s.item_edge()) {
         counts.record(&reason);

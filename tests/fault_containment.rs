@@ -7,7 +7,7 @@ use std::fs;
 use std::time::Duration;
 
 use pta::{ContextPolicy, HeapEdge, LocId, ModRef, PtaResult};
-use symex::{Engine, SearchOutcome, StopReason, SymexConfig};
+use symex::{Engine, LoopMode, SearchOutcome, StopReason, SymexConfig};
 use tir::Program;
 
 fn corpus_dir() -> std::path::PathBuf {
@@ -119,11 +119,12 @@ entry main;
 "#,
     )
     .expect("parse");
-    let mut cfg = SymexConfig::default().with_degrade(false);
+    // A `DropAll` base gets no coarse retry, so nothing strips the injected
+    // fault: it panics inside every search that reaches box0's allocation,
+    // and the checker must finish anyway and account for it.
+    let mut cfg = SymexConfig::default().with_loop_mode(LoopMode::DropAll);
     cfg.inject_panic_on_new = Some("box0".into());
     let t = thresher::Thresher::with_setup(&program, ContextPolicy::Insensitive, cfg);
-    // The injected fault panics inside every search that reaches box0's
-    // allocation; the checker must finish anyway and account for it.
     let report = t.escape_checker().check_site("secret0");
     assert!(report.aborts.panic >= 1, "expected contained panics, got {:?}", report.aborts);
     // Aborted edges are conservatively kept, so the pair is not proven
@@ -136,7 +137,7 @@ fn escape_checker_ladder_recovers_from_injected_panic() {
     // A false `box0.item -> secret0` edge whose refutation must walk back
     // through box0's allocation (the store's value has an unresolved
     // `from` constraint until then), so the injected fault fires on the
-    // strict pass; the ladder strips it and refutes coarsely.
+    // strict pass; the coarse retry strips it and refutes.
     let program = tir::parse(
         r#"
 class Box { field item: Object; field other: Box; }
@@ -165,7 +166,7 @@ entry main;
     let cfg = SymexConfig { inject_panic_on_new: Some("box0".into()), ..SymexConfig::default() };
     let t = thresher::Thresher::with_setup(&program, ContextPolicy::Insensitive, cfg);
     let report = t.escape_checker().check_site("secret0");
-    assert!(report.is_encapsulated(), "ladder should recover the refutation");
+    assert!(report.is_encapsulated(), "the coarse retry should recover the refutation");
     assert!(report.degraded_decisions >= 1);
     assert!(report.retries >= 1);
 }
@@ -173,8 +174,8 @@ entry main;
 #[test]
 fn zero_engine_deadline_degrades_whole_corpus_run() {
     // A zero total deadline must not crash or hang: every edge aborts
-    // with WallClock (the ladder is skipped once the engine deadline is
-    // past) and the sweep completes immediately.
+    // with WallClock (the coarse retry is skipped once the engine deadline
+    // is past) and the sweep completes immediately.
     let (name, program) = &corpus_programs()[0];
     let pta = pta::analyze(program, ContextPolicy::Insensitive);
     let modref = ModRef::compute(program, &pta);
@@ -192,7 +193,7 @@ fn zero_engine_deadline_degrades_whole_corpus_run() {
                 panic!("{name}: expected WallClock abort or vacuous refutation, got {other:?}")
             }
         }
-        assert!(!decision.degraded, "{name}: ladder must not run past the engine deadline");
+        assert!(!decision.degraded, "{name}: no retry may run past the engine deadline");
     }
 }
 

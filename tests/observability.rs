@@ -66,7 +66,6 @@ fn report_counters_match_client_stats_exactly() {
     assert_eq!(rec.counter(Counter::AbortCallerDepth), a.caller_depth);
     assert_eq!(rec.counter(Counter::AbortPanic), a.panic);
     assert_eq!(rec.counter(Counter::AbortSolverFailure), a.solver_failure);
-    assert_eq!(rec.counter(Counter::AbortHeapCap), a.heap_cap);
 
     // Alarm totals.
     assert_eq!(rec.counter(Counter::AlarmsFound), report.num_alarms() as u64);
