@@ -207,8 +207,6 @@ pub(super) fn cost_value(
     wall_us: u64,
     queue_wait_us: u64,
 ) -> Value {
-    let solver_ns: u64 =
-        delta.observations().iter().filter(|(h, _)| *h == Hist::SolverNanos).map(|(_, v)| v).sum();
     let phase_obj = Value::Obj(
         ["parse", "pta", "edit", "symex", "cache"]
             .iter()
@@ -222,7 +220,7 @@ pub(super) fn cost_value(
         ("path_programs".to_owned(), Value::uint(delta.counter(Counter::PathPrograms))),
         ("budget".to_owned(), phases.budget.map_or(Value::Null, Value::uint)),
         ("solver_calls".to_owned(), Value::uint(delta.counter(Counter::SolverCalls))),
-        ("solver_ns".to_owned(), Value::uint(solver_ns)),
+        ("solver_ns".to_owned(), Value::uint(delta.histogram(Hist::SolverNanos).sum)),
         ("cache_hits".to_owned(), Value::uint(delta.counter(Counter::CacheHits))),
         ("cache_misses".to_owned(), Value::uint(delta.counter(Counter::CacheMisses))),
         ("cache_invalidated".to_owned(), Value::uint(delta.counter(Counter::CacheInvalidated))),

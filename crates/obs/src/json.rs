@@ -87,6 +87,14 @@ impl Value {
         }
     }
 
+    /// The value's `(key, value)` fields, if it is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
     /// Serializes the value into `out`.
     pub fn write(&self, out: &mut String) {
         match self {

@@ -82,6 +82,10 @@ pub trait Recorder: Send + Sync {
     fn add(&self, c: Counter, n: u64);
     /// Records one observation `v` into histogram `h`.
     fn observe(&self, h: Hist, v: u64);
+    /// Applies a captured batch of counter totals and histogram state
+    /// ([`MetricsDelta::replay`]), as if its original calls were recorded
+    /// here.
+    fn merge(&self, delta: &MetricsDelta);
     /// Records one completed span or instant event.
     fn event(&self, ev: TraceEvent);
     /// Whether spans of `kind` should be materialized at all. Returning

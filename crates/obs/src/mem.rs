@@ -1,6 +1,8 @@
 //! The in-memory recorder: a metric registry plus a bounded event ring.
 
-use crate::{Counter, Hist, HistSnapshot, Recorder, Registry, RunReport, SpanKind, TraceEvent};
+use crate::{
+    Counter, Hist, HistSnapshot, MetricsDelta, Recorder, Registry, RunReport, SpanKind, TraceEvent,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -127,6 +129,10 @@ impl Recorder for MemRecorder {
 
     fn observe(&self, h: Hist, v: u64) {
         self.registry.observe(h, v);
+    }
+
+    fn merge(&self, delta: &MetricsDelta) {
+        self.registry.merge(delta);
     }
 
     fn event(&self, ev: TraceEvent) {

@@ -3,6 +3,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::json::Value;
+use crate::MetricsDelta;
+
 macro_rules! metric_enum {
     ($(#[$meta:meta])* $vis:vis enum $enum_name:ident {
         $($(#[$vmeta:meta])* $variant:ident => $name:literal,)+
@@ -244,6 +247,86 @@ pub fn bucket_upper_bound(lb: u64) -> u64 {
     }
 }
 
+/// One histogram's state as plain integers: what [`HistCells`] holds
+/// atomically, and what a [`MetricsDelta`] buffers per histogram. Merging
+/// two of them gives exactly the state that observing both value sequences
+/// into one would (counts wrap like the registry's `fetch_add`, the sum
+/// saturates, the max is the max).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct HistCounts {
+    pub(crate) buckets: [u64; NUM_BUCKETS],
+    pub(crate) count: u64,
+    pub(crate) sum: u64,
+    pub(crate) max: u64,
+}
+
+impl HistCounts {
+    pub(crate) const ZERO: HistCounts =
+        HistCounts { buckets: [0; NUM_BUCKETS], count: 0, sum: 0, max: 0 };
+
+    pub(crate) fn observe(&mut self, v: u64) {
+        let b = &mut self.buckets[bucket_index(v)];
+        *b = b.wrapping_add(1);
+        self.count = self.count.wrapping_add(1);
+        self.sum = self.sum.saturating_add(v);
+        self.max = self.max.max(v);
+    }
+
+    pub(crate) fn merge(&mut self, other: &HistCounts) {
+        for (b, &n) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b = b.wrapping_add(n);
+        }
+        self.count = self.count.wrapping_add(other.count);
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
+    /// `(bucket index, count)` for every non-empty bucket, ascending.
+    fn nonempty_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.buckets.iter().copied().enumerate().filter(|&(_, n)| n > 0)
+    }
+
+    pub(crate) fn snapshot(&self) -> HistSnapshot {
+        HistSnapshot {
+            count: self.count,
+            sum: self.sum,
+            max: self.max,
+            buckets: self.nonempty_buckets().map(|(i, n)| (bucket_lower_bound(i), n)).collect(),
+        }
+    }
+
+    /// `{"sum":…,"max":…,"buckets":[[index, n], …]}`: non-empty buckets
+    /// only, keyed by bucket index (not lower bound, unlike the run report)
+    /// so a parser can bounds-check it. The count is the buckets' total.
+    pub(crate) fn to_value(&self) -> Value {
+        let buckets = self
+            .nonempty_buckets()
+            .map(|(i, n)| Value::Arr(vec![Value::uint(i as u64), Value::uint(n)]))
+            .collect();
+        Value::Obj(vec![
+            ("sum".to_owned(), Value::uint(self.sum)),
+            ("max".to_owned(), Value::uint(self.max)),
+            ("buckets".to_owned(), Value::Arr(buckets)),
+        ])
+    }
+
+    /// Inverse of [`Self::to_value`]. `None` when a field is missing or not
+    /// a `u64`, a bucket index is out of range, or the count overflows.
+    pub(crate) fn from_value(v: &Value) -> Option<HistCounts> {
+        let mut h = HistCounts::ZERO;
+        h.sum = v.get("sum")?.as_u64()?;
+        h.max = v.get("max")?.as_u64()?;
+        for pair in v.get("buckets")?.as_arr()? {
+            let [i, n] = pair.as_arr()? else { return None };
+            let i = usize::try_from(i.as_u64()?).ok().filter(|&i| i < NUM_BUCKETS)?;
+            let n = n.as_u64()?;
+            h.buckets[i] = h.buckets[i].checked_add(n)?;
+            h.count = h.count.checked_add(n)?;
+        }
+        Some(h)
+    }
+}
+
 struct HistCells {
     buckets: [AtomicU64; NUM_BUCKETS],
     count: AtomicU64,
@@ -264,32 +347,36 @@ impl HistCells {
     fn observe(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        // Saturating: the sum is diagnostic, wrap-around would mislead.
-        let mut cur = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_add(v);
-            match self.sum.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
+        self.add_sum(v);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    fn snapshot(&self) -> HistSnapshot {
-        let mut buckets = Vec::new();
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
+    fn merge(&self, h: &HistCounts) {
+        for (b, &n) in self.buckets.iter().zip(&h.buckets) {
             if n > 0 {
-                buckets.push((bucket_lower_bound(i), n));
+                b.fetch_add(n, Ordering::Relaxed);
             }
         }
-        HistSnapshot {
+        self.count.fetch_add(h.count, Ordering::Relaxed);
+        self.add_sum(h.sum);
+        self.max.fetch_max(h.max, Ordering::Relaxed);
+    }
+
+    /// Saturating: the sum is diagnostic, wrap-around would mislead.
+    fn add_sum(&self, v: u64) {
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(s.saturating_add(v)));
+    }
+
+    fn snapshot(&self) -> HistSnapshot {
+        HistCounts {
+            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
-            buckets,
         }
+        .snapshot()
     }
 
     fn reset(&self) {
@@ -395,6 +482,17 @@ impl Registry {
     #[inline]
     pub fn observe(&self, h: Hist, v: u64) {
         self.hists[h.index()].observe(v);
+    }
+
+    /// Adds every counter total and histogram of `delta`, leaving the
+    /// state that recording its original calls here would have.
+    pub(crate) fn merge(&self, delta: &MetricsDelta) {
+        for (c, n) in delta.counters() {
+            self.add(c, n);
+        }
+        for (h, counts) in delta.hists() {
+            self.hists[h.index()].merge(counts);
+        }
     }
 
     /// Current value of `c`.

@@ -1,4 +1,4 @@
-//! Persistent cross-run refutation cache (`thresher.cache/2`).
+//! Persistent cross-run refutation cache (`thresher.cache/3`).
 //!
 //! Edge decisions are pure functions of the program slice they examine,
 //! so they survive across processes: every decision the coordinator
@@ -16,14 +16,18 @@
 //! # Store format
 //!
 //! One JSONL file (`decisions.jsonl`) per cache directory. The first
-//! line is a header `{"schema":"thresher.cache/2"}`; every other line is
-//! one decision record serialized with [`obs::json`]. Corruption
-//! degrades, never propagates: an unparseable or unresolvable line is
-//! skipped (counted under [`obs::Counter::CacheSkippedCorrupt`]), a
-//! truncated tail is just another skipped line, and a header mismatch
-//! discards the whole file — every failure mode falls back to a cold
-//! computation ([`crate::Engine::refute_key_resilient`]), never a panic
-//! and never a wrong answer.
+//! line is a header `{"schema":"thresher.cache/3"}`; every other line is
+//! one decision record serialized with [`obs::json`]. A record's `obs`
+//! field is its captured [`MetricsDelta`] in the form `obs` owns
+//! ([`MetricsDelta::to_value`]): counter totals plus per-histogram log₂
+//! bucket counts, so a record stays a few KB however long its search
+//! ran. Corruption degrades, never propagates: an unparseable or
+//! unresolvable line (a malformed `obs` included) is skipped (counted
+//! under [`obs::Counter::CacheSkippedCorrupt`]), a truncated tail is just
+//! another skipped line, and a header mismatch discards the whole file —
+//! every failure mode falls back to a cold computation
+//! ([`crate::Engine::refute_key_resilient`]), never a panic and never a
+//! wrong answer.
 //!
 //! # Identity across runs
 //!
@@ -42,7 +46,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use obs::json::Value;
-use obs::{Counter, Hist, MetricsDelta};
+use obs::{Counter, MetricsDelta};
 use pta::{HeapEdge, LocId, PtaResult};
 use tir::{CmdId, MethodId, Program};
 
@@ -54,7 +58,7 @@ use crate::SymexConfig;
 /// The store schema identifier; a mismatch discards the whole file. Bump
 /// it whenever the config fingerprint key or the meaning of a record field
 /// changes.
-pub const CACHE_SCHEMA: &str = "thresher.cache/2";
+pub const CACHE_SCHEMA: &str = "thresher.cache/3";
 
 /// File name of the decision store inside a cache directory.
 pub const CACHE_FILE: &str = "decisions.jsonl";
@@ -441,8 +445,8 @@ impl std::str::FromStr for CacheMode {
 pub struct StoreLimits {
     /// Size cap in bytes for the backing JSONL. When an append pushes the
     /// file past the cap, the store compacts: records are rewritten
-    /// most-recently-hit first until the file fits in half the cap
-    /// (hysteresis), and the remainder are dropped — they are pure
+    /// most-recently-hit first, each one that still fits in half the cap
+    /// (hysteresis) kept, and the remainder are dropped — they are pure
     /// decisions, so a dropped record only means one future recomputation,
     /// never a changed answer. `None` (the default) leaves growth
     /// unbounded.
@@ -726,10 +730,11 @@ impl DecisionStore {
         }
     }
 
-    /// Rewrites the backing file keeping records most-recently-hit first
-    /// until it fits in half the size cap, dropping the rest. Writes go to
-    /// a scratch file atomically renamed over the store, so a crash at any
-    /// point leaves either the old or the new file — never a torn one.
+    /// Rewrites the backing file keeping, most-recently-hit first, every
+    /// record that still fits in half the size cap, dropping the rest.
+    /// Writes go to a scratch file atomically renamed over the store, so a
+    /// crash at any point leaves either the old or the new file — never a
+    /// torn one.
     fn compact_locked(&self, program: &Program, inner: &mut StoreInner) {
         let Some(cap) = self.limits.max_bytes else { return };
         if inner.file.is_none() {
@@ -747,8 +752,11 @@ impl DecisionStore {
             let Some(d) = inner.records.get(&fp) else { continue };
             let Some(v) = serialize_record(program, fp, key, d) else { continue };
             let line = v.to_json();
+            // A record too big for what is left is dropped, but older
+            // ones that fit still are kept: stopping here would let one
+            // oversized (and newest) record empty the store.
             if out.len() as u64 + line.len() as u64 + 1 > budget {
-                break;
+                continue;
             }
             out.push_str(&line);
             out.push('\n');
@@ -993,37 +1001,6 @@ fn parse_stats(v: &Value) -> Option<SearchStats> {
     })
 }
 
-fn serialize_delta(d: &MetricsDelta) -> Value {
-    let counters = Counter::ALL
-        .iter()
-        .filter(|&&c| d.counter(c) > 0)
-        .map(|&c| Value::Arr(vec![Value::str(c.name()), Value::uint(d.counter(c))]))
-        .collect();
-    let observations = d
-        .observations()
-        .iter()
-        .map(|&(h, v)| Value::Arr(vec![Value::str(h.name()), Value::uint(v)]))
-        .collect();
-    Value::Obj(vec![
-        ("counters".to_owned(), Value::Arr(counters)),
-        ("observations".to_owned(), Value::Arr(observations)),
-    ])
-}
-
-fn parse_delta(v: &Value) -> Option<MetricsDelta> {
-    let mut counters = Vec::new();
-    for pair in v.get("counters")?.as_arr()? {
-        let [name, n] = pair.as_arr()? else { return None };
-        counters.push((Counter::from_name(name.as_str()?)?, n.as_u64()?));
-    }
-    let mut observations = Vec::new();
-    for pair in v.get("observations")?.as_arr()? {
-        let [name, val] = pair.as_arr()? else { return None };
-        observations.push((Hist::from_name(name.as_str()?)?, val.as_u64()?));
-    }
-    Some(MetricsDelta::from_parts(counters, observations))
-}
-
 fn serialize_record(
     program: &Program,
     fp: u64,
@@ -1037,7 +1014,7 @@ fn serialize_record(
         ("attempts".to_owned(), Value::uint(u64::from(d.decision.attempts))),
         ("degraded".to_owned(), Value::Bool(d.decision.degraded)),
         ("stats".to_owned(), serialize_stats(&d.stats)),
-        ("obs".to_owned(), serialize_delta(&d.obs)),
+        ("obs".to_owned(), d.obs.to_value()),
         (
             "elapsed_ns".to_owned(),
             Value::uint(d.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64),
@@ -1056,7 +1033,7 @@ fn parse_record(resolver: &MethodResolver, line: &str) -> Option<(u64, String, P
         _ => return None,
     };
     let stats = parse_stats(v.get("stats")?)?;
-    let obs = parse_delta(v.get("obs")?)?;
+    let obs = MetricsDelta::from_value(v.get("obs")?)?;
     let elapsed = Duration::from_nanos(v.get("elapsed_ns")?.as_u64()?);
     Some((
         fp,
@@ -1073,6 +1050,7 @@ fn parse_record(resolver: &MethodResolver, line: &str) -> Option<(u64, String, P
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Hist;
     use pta::ContextPolicy;
 
     const SRC: &str = r#"
@@ -1107,10 +1085,10 @@ entry main;
 
     fn sample_decision() -> PersistedDecision {
         let stats = SearchStats { path_programs: 3, cmds_executed: 17, ..Default::default() };
-        let obs = MetricsDelta::from_parts(
-            [(Counter::EdgesRefuted, 1), (Counter::PathPrograms, 3)],
-            vec![(Hist::EdgeMicros, 42)],
-        );
+        let mut obs = MetricsDelta::default();
+        obs.add(Counter::EdgesRefuted, 1);
+        obs.add(Counter::PathPrograms, 3);
+        obs.observe(Hist::EdgeMicros, 42);
         PersistedDecision {
             decision: EdgeDecision {
                 outcome: SearchOutcome::Refuted,
@@ -1173,9 +1151,17 @@ entry main;
         let dir = std::env::temp_dir().join(format!("thresher-persist-{fp:x}"));
         let _ = std::fs::remove_dir_all(&dir);
 
+        // Histograms with zeros, u64::MAX and a saturated sum, plus the
+        // one-observation EdgeMicros of the sample.
+        let mut original = sample_decision();
+        for v in [0, 0, 7, 900, 1 << 40, u64::MAX, u64::MAX] {
+            original.obs.observe(Hist::SolverNanos, v);
+        }
+        original.obs.observe(Hist::HeapCells, 3);
+
         let store = DecisionStore::open(&dir, CacheMode::ReadWrite, &p).unwrap();
         assert!(store.is_empty());
-        store.record(&p, fp, &key, &sample_decision());
+        store.record(&p, fp, &key, &original);
         assert_eq!(store.len(), 1);
         drop(store);
 
@@ -1185,7 +1171,12 @@ entry main;
         assert!(d.decision.outcome.is_refuted());
         assert_eq!(d.stats.path_programs, 3);
         assert_eq!(d.obs.counter(Counter::EdgesRefuted), 1);
-        assert_eq!(d.obs.observations(), &[(Hist::EdgeMicros, 42)]);
+        for h in [Hist::EdgeMicros, Hist::SolverNanos, Hist::HeapCells, Hist::WitnessTraceLen] {
+            // count, sum, max and buckets all survive the round trip.
+            assert_eq!(d.obs.histogram(h), original.obs.histogram(h), "{}", h.name());
+        }
+        assert_eq!(d.obs.histogram(Hist::SolverNanos).sum, u64::MAX);
+        assert_eq!(d.obs, original.obs);
         assert_eq!(d.elapsed, Duration::from_micros(42));
         assert!(!store.has_stale(&key, fp));
         assert!(store.has_stale(&key, fp ^ 1));
@@ -1212,19 +1203,30 @@ entry main;
         let dir = std::env::temp_dir().join("thresher-persist-corrupt");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let good = serialize_record(&p, 7, "$CACHE => box0", &sample_decision()).unwrap();
+        let good = serialize_record(&p, 7, "$CACHE => box0", &sample_decision()).unwrap().to_json();
+        // Damaged histograms inside an otherwise well-formed record.
+        let damaged = |from: &str, to: &str| {
+            assert!(good.contains(from), "{from} not in {good}");
+            good.replace(from, to)
+        };
+        let bad_obs = [
+            damaged("\"edge_refutation_us\"", "\"no_such_hist\""),
+            damaged("\"buckets\":[[6,1]]", "\"buckets\":[[65,1]]"),
+            damaged("[[6,1]]", "[[6,\"one\"]]"),
+        ];
         std::fs::write(
             dir.join(CACHE_FILE),
             format!(
-                "{}\nnot json at all\n{}\n{{\"fp\":\"zz\"}}\n{{\"truncat",
+                "{}\nnot json at all\n{}\n{{\"fp\":\"zz\"}}\n{}\n{{\"truncat",
                 header_line(),
-                good.to_json()
+                good,
+                bad_obs.join("\n")
             ),
         )
         .unwrap();
         let store = DecisionStore::open(&dir, CacheMode::Read, &p).unwrap();
         assert_eq!(store.len(), 1, "the good record loads");
-        assert_eq!(store.skipped_corrupt(), 3);
+        assert_eq!(store.skipped_corrupt(), 3 + bad_obs.len() as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1347,6 +1349,45 @@ entry main;
         assert!(back.lookup(hot).is_some());
         let on_disk = std::fs::metadata(dir.join(CACHE_FILE)).unwrap().len();
         assert!(on_disk <= cap);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_skips_an_oversized_record_and_keeps_older_ones() {
+        let (p, _r) = setup(SRC);
+        let dir = std::env::temp_dir().join("thresher-persist-compact-oversized");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cap = 4096u64;
+        let store = DecisionStore::open_with_limits(
+            &dir,
+            CacheMode::ReadWrite,
+            &p,
+            StoreLimits::with_max_bytes(cap),
+        )
+        .unwrap();
+        for fp in 1..=3u64 {
+            store.record(&p, fp, &format!("$CACHE => box{fp}"), &sample_decision());
+        }
+        assert!(store.file_bytes() < cap / 2);
+        // The newest record alone is bigger than half the cap, so it is
+        // the first one compaction considers and the only one it drops.
+        let mut big = sample_decision();
+        big.decision.outcome = SearchOutcome::Witnessed(Witness {
+            trace: Vec::new(),
+            final_query: "q".repeat(cap as usize),
+        });
+        store.record(&p, 4, "$CACHE => box4", &big);
+        assert_eq!(store.len(), 3, "compaction must keep the older records that fit");
+        assert!(store.lookup(4).is_none());
+        assert!(store.file_bytes() <= cap / 2);
+        drop(store);
+
+        let back = DecisionStore::open(&dir, CacheMode::Read, &p).unwrap();
+        assert_eq!(back.skipped_corrupt(), 0);
+        assert_eq!(back.len(), 3);
+        for fp in 1..=3u64 {
+            assert!(back.lookup(fp).is_some(), "record {fp} lost");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

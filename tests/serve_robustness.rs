@@ -432,6 +432,53 @@ fn two_clients_get_identical_reports() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// With a recorder installed (as in `thresher-serve`), a second `analyze`
+/// of an unchanged corpus app takes every decision from the store at the
+/// daemon's default byte cap: each record carries its captured metrics as
+/// bucketed histograms, so the records fit and none is compacted away.
+#[test]
+fn reanalyze_at_default_store_cap_hits_every_decision() {
+    let _serial = obs::test_lock();
+    let rec = recorder();
+    rec.reset();
+
+    let cache = tmp("reanalyze");
+    let app = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus/opensudoku.tir");
+    let daemon = Daemon::new(ServeConfig {
+        workers: 1,
+        cache_root: Some(cache.clone()),
+        ..ServeConfig::default()
+    });
+    let analyze = |id: u64| request(id, "analyze", &[("program", Value::str("sudoku"))]);
+    let script = [
+        request(
+            1,
+            "load_program",
+            &[("name", Value::str("sudoku")), ("path", Value::str(app.to_str().unwrap()))],
+        ),
+        analyze(2),
+        analyze(3),
+    ]
+    .join("\n");
+    let (lines, summary) = daemon.run_script(&script);
+    obs::uninstall();
+    assert_eq!(summary.completed, 3, "daemon run failed: {lines:#?}");
+
+    let cost = |id: u64, key: &str| {
+        response_for(&lines, id)
+            .get("ok")
+            .and_then(|o| o.get("cost"))
+            .and_then(|c| c.get(key))
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("id {id} has no cost.{key}"))
+    };
+    assert_eq!((cost(2, "cache_hits"), cost(2, "cache_misses")), (0, 17));
+    assert_eq!((cost(3, "cache_hits"), cost(3, "cache_misses")), (17, 0));
+    assert_eq!(rec.counter(Counter::CacheRecordsDropped), 0);
+    assert_eq!(ok_body(&lines, 3), ok_body(&lines, 2), "warm analyze changed the alarms");
+    let _ = fs::remove_dir_all(&cache);
+}
+
 /// A program with two null-deref candidates: `t.item` (reachable null —
 /// one alarm) and the guarded `u.item` (refuted). Used by the null-client
 /// serve tests.
