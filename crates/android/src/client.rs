@@ -16,10 +16,7 @@
 use std::collections::HashMap;
 
 use pta::{BitSet, HeapEdge, HeapGraphView, LocId, ModRef, PtaResult};
-use symex::{
-    AbortCounts, EdgeAnswer, JobVerdict, ReachJob, RefutationScheduler, StopReason, SymexConfig,
-    Tally, Witness,
-};
+use symex::{AbortCounts, JobVerdict, ReachJob, RefutationScheduler, SymexConfig, Tally, Witness};
 use tir::{GlobalId, Program};
 
 // Annotations are applied at the points-to level (see
@@ -226,24 +223,6 @@ impl<'a> LeakClient<'a> {
         out
     }
 
-    /// Decides one edge, consulting and filling the shared decision cache.
-    /// Refuted edges are deleted from the view. The search is
-    /// fault-contained and, on abort, retried once without loop-invariant
-    /// inference (see [`symex::Engine::refute_edge_resilient`]).
-    pub fn decide_edge(&mut self, edge: HeapEdge, stats: &mut ClientStats) -> CachedView {
-        let mut tally = Tally::default();
-        let answer = self.sched.decide_edge(edge, &mut tally);
-        stats.absorb(&tally);
-        match answer {
-            EdgeAnswer::Refuted => {
-                self.view.delete(edge);
-                CachedView::Refuted
-            }
-            EdgeAnswer::Witnessed(w) => CachedView::Witnessed(w),
-            EdgeAnswer::Aborted(r) => CachedView::Aborted(r),
-        }
-    }
-
     /// Triages one alarm: refute edges along paths until the alarm's
     /// endpoints are disconnected, or some path is fully witnessed.
     pub fn triage(&mut self, alarm: Alarm, stats: &mut ClientStats) -> AlarmResult {
@@ -299,15 +278,4 @@ impl<'a> LeakClient<'a> {
             self.pta.loc_name(self.program, alarm.activity)
         )
     }
-}
-
-/// View of a cached edge decision.
-#[derive(Debug)]
-pub enum CachedView {
-    /// The edge is refuted (and now deleted).
-    Refuted,
-    /// The edge is witnessed; carries the witness on first decision.
-    Witnessed(Option<Witness>),
-    /// The search gave up for the stated reason; not refuted.
-    Aborted(StopReason),
 }

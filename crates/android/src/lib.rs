@@ -112,9 +112,9 @@ impl<'a> ActivityLeakChecker<'a> {
     /// `symex::persist`): decisions whose fingerprint matches a stored
     /// record are warm-started without symbolic execution. An unopenable
     /// store degrades to a cold (cache-free) run with a warning — it never
-    /// fails the check. [`CacheMode::Off`] is a no-op.
+    /// fails the check. A checker without this call is cache-free.
     pub fn with_cache(mut self, dir: impl Into<PathBuf>, mode: CacheMode) -> Self {
-        self.cache = if mode == CacheMode::Off { None } else { Some((dir.into(), mode)) };
+        self.cache = Some((dir.into(), mode));
         self
     }
 

@@ -271,14 +271,10 @@ mod tests {
 
     #[test]
     fn solvers_agree_on_scaled_corpus() {
-        use pta::{analyze_with, ContextPolicy, PtaOptions, SolverKind};
+        use pta::{analyze_reference, analyze_with, ContextPolicy, PtaOptions};
         let p = scaled_program(3);
         let delta = analyze_with(&p, ContextPolicy::Insensitive, &PtaOptions::default());
-        let reference = analyze_with(
-            &p,
-            ContextPolicy::Insensitive,
-            &PtaOptions { solver: SolverKind::Reference, ..Default::default() },
-        );
+        let reference = analyze_reference(&p, ContextPolicy::Insensitive, &PtaOptions::default());
         assert_eq!(delta.dump(&p), reference.dump(&p));
         // The ring smears every module's seed into every module's global.
         let g0 = p.global_by_name("G0").unwrap();
@@ -290,7 +286,7 @@ mod tests {
     /// the scaled corpus's copy-cycle motif exercises in bulk.
     #[test]
     fn hand_built_copy_cycle_collapses() {
-        use pta::{analyze_with, ContextPolicy, PtaOptions, SolverKind};
+        use pta::{analyze_reference, analyze_with, ContextPolicy, PtaOptions};
         let mut b = ProgramBuilder::new();
         let object = b.object_class();
         let obj = Ty::Ref(object);
@@ -315,11 +311,7 @@ mod tests {
             rec.counter(obs::Counter::PtaSccsCollapsed) >= 1,
             "three-variable assignment ring was not collapsed"
         );
-        let reference = analyze_with(
-            &p,
-            ContextPolicy::Insensitive,
-            &PtaOptions { solver: SolverKind::Reference, ..Default::default() },
-        );
+        let reference = analyze_reference(&p, ContextPolicy::Insensitive, &PtaOptions::default());
         assert_eq!(delta.dump(&p), reference.dump(&p));
     }
 
@@ -327,7 +319,7 @@ mod tests {
     /// at every scale, and collapsing must never change the answer.
     #[test]
     fn copy_cycle_motif_collapses_at_several_scales() {
-        use pta::{analyze_with, ContextPolicy, PtaOptions, SolverKind};
+        use pta::{analyze_reference, analyze_with, ContextPolicy, PtaOptions};
         let _serial = obs::test_lock();
         let rec = obs::MemRecorder::install_static(obs::RingCapacity::default());
         for scale in [2, 4, 8] {
@@ -336,11 +328,8 @@ mod tests {
             let delta = analyze_with(&p, ContextPolicy::Insensitive, &PtaOptions::default());
             let collapsed = rec.counter(obs::Counter::PtaSccsCollapsed);
             assert!(collapsed >= 1, "no SCC collapsed at scale {scale}");
-            let reference = analyze_with(
-                &p,
-                ContextPolicy::Insensitive,
-                &PtaOptions { solver: SolverKind::Reference, ..Default::default() },
-            );
+            let reference =
+                analyze_reference(&p, ContextPolicy::Insensitive, &PtaOptions::default());
             assert_eq!(delta.dump(&p), reference.dump(&p), "solvers disagree at scale {scale}");
         }
     }

@@ -8,7 +8,9 @@
 //!   --dump-pta                 print the flow-insensitive points-to graph
 //!   --edit-script <FILE>       apply an NDJSON edit script through the
 //!                              incremental delta solver (one batch per
-//!                              line), then analyze the edited program
+//!                              line; each checked against the full-set
+//!                              reference solve), then analyze the
+//!                              edited program
 //!   --query <GLOBAL> <LOC>     refined reachability from a global to an
 //!                              abstract location (repeatable)
 //!   --leaks                    run the Android Activity-leak client
@@ -25,10 +27,6 @@
 //!   --representation <mixed|symbolic|explicit>
 //!   --loops <infer|drop-all>
 //!   --no-simplification
-//!   --pta-solver <delta|reference>
-//!                              points-to fixpoint strategy (default: delta;
-//!                              reference is the full-set differential
-//!                              oracle — both produce identical results)
 //!   --pta-stats                print points-to solver counters (nodes,
 //!                              instances, propagations, deltas pushed,
 //!                              SCCs collapsed) after the analysis
@@ -40,20 +38,16 @@
 //!                              warm-started across runs; editing a method
 //!                              invalidates exactly the decisions whose
 //!                              call-graph slice contains it
-//!   --cache <read-write|read|off>
-//!                              cache mode (default read-write when
-//!                              --cache-dir is given; off otherwise)
+//!   --cache <read-write|read>  cache mode (default read-write; no cache
+//!                              without --cache-dir)
 //!
 //! --diff-reports compares two RunReport JSON files modulo timing: the
 //! meta block, *_ns/*_us histograms, dropped_trace_events, and
 //! trace_threads are excluded. `cache_*` counters are also excluded —
 //! they report cache effectiveness (cold vs warm), never analysis
-//! results, and the incremental gate compares cold and warm reports. Exits 0 when equivalent, 1 when not — the
-//! CI determinism gate for `--jobs`. When the two reports record different
-//! `pta_solver` strategies, the strategy-dependent solver metrics
-//! (propagation/delta/SCC counters, worklist and delta-size histograms)
-//! are additionally excluded, so delta-vs-reference runs must agree on
-//! every *result*-derived number.
+//! results, and the incremental gate compares cold and warm reports.
+//! Exits 0 when equivalent, 1 when not — the CI determinism gate for
+//! `--jobs`.
 //!
 //! Exit codes follow the contract in `thresher::exit`, shared with
 //! `thresher-serve`: 0 = completed with nothing reachable, 1 = completed
@@ -69,8 +63,7 @@ use thresher::exit;
 use thresher::obs::json::{self, Value};
 use thresher::obs::{self, Counter, MemRecorder, RingCapacity, SpanKind};
 use thresher::{
-    CacheMode, LoopMode, PtaOptions, ReachabilityAnswer, Representation, SolverKind, SymexConfig,
-    Thresher,
+    CacheMode, LoopMode, PtaOptions, ReachabilityAnswer, Representation, SymexConfig, Thresher,
 };
 
 struct Options {
@@ -82,7 +75,6 @@ struct Options {
     client_null: bool,
     jobs: usize,
     config: SymexConfig,
-    pta_solver: SolverKind,
     pta_stats: bool,
     report_out: Option<String>,
     trace_out: Option<String>,
@@ -105,7 +97,6 @@ fn parse_args() -> Result<Mode, String> {
     let mut client_null = false;
     let mut jobs = thresher::default_jobs();
     let mut config = SymexConfig::default();
-    let mut pta_solver = SolverKind::default();
     let mut pta_stats = false;
     let mut report_out = None;
     let mut trace_out = None;
@@ -156,10 +147,6 @@ fn parse_args() -> Result<Mode, String> {
                     other => return Err(format!("bad loop mode {other:?}")),
                 };
             }
-            "--pta-solver" => {
-                let k = args.next().ok_or("--pta-solver needs <delta|reference>")?;
-                pta_solver = k.parse()?;
-            }
             "--pta-stats" => pta_stats = true,
             "--report-out" => {
                 report_out = Some(args.next().ok_or("--report-out needs a path")?);
@@ -171,7 +158,7 @@ fn parse_args() -> Result<Mode, String> {
                 cache_dir = Some(args.next().ok_or("--cache-dir needs a directory")?);
             }
             "--cache" => {
-                let m = args.next().ok_or("--cache needs <read-write|read|off>")?;
+                let m = args.next().ok_or("--cache needs <read-write|read>")?;
                 cache_mode = m.parse()?;
             }
             other if path.is_none() && !other.starts_with("--") => {
@@ -189,7 +176,6 @@ fn parse_args() -> Result<Mode, String> {
         client_null,
         jobs,
         config,
-        pta_solver,
         pta_stats,
         report_out,
         trace_out,
@@ -253,7 +239,7 @@ fn main() -> ExitCode {
 
     if let Some(rec) = recorder {
         if opts.pta_stats {
-            print_pta_stats(&opts, rec);
+            print_pta_stats(rec);
         }
         if let Err(e) = write_outputs(&opts, rec) {
             eprintln!("error: {e}");
@@ -302,11 +288,7 @@ fn run_edit_script(program: &mut tir::Program, path: &str) -> Result<(), String>
             stats.dirty_nodes,
             stats.changed_methods.len(),
         );
-        let reference = pta::analyze_with(
-            program,
-            policy.clone(),
-            &PtaOptions { solver: SolverKind::Reference, ..Default::default() },
-        );
+        let reference = pta::analyze_reference(program, policy.clone(), &PtaOptions::default());
         if pta::canonical_text(program, &inc.result(program))
             != pta::canonical_text(program, &reference)
         {
@@ -320,8 +302,8 @@ fn run_edit_script(program: &mut tir::Program, path: &str) -> Result<(), String>
 }
 
 /// Prints the points-to solver counters accumulated in the obs registry.
-fn print_pta_stats(opts: &Options, rec: &MemRecorder) {
-    println!("== pta stats ({} solver) ==", opts.pta_solver.name());
+fn print_pta_stats(rec: &MemRecorder) {
+    println!("== pta stats ==");
     for (label, counter) in [
         ("nodes", Counter::PtaNodes),
         ("method instances", Counter::PtaInstances),
@@ -336,23 +318,17 @@ fn print_pta_stats(opts: &Options, rec: &MemRecorder) {
 /// The whole analysis, separated out so the `Run` span closes (and is
 /// recorded) before the trace/report files are written.
 fn analyze(opts: &Options, program: &tir::Program) -> ExitCode {
-    let mut thresher = Thresher::with_options(
-        program,
-        thresher::PointsToPolicy::Insensitive,
-        opts.config.clone(),
-        &PtaOptions { solver: opts.pta_solver, ..Default::default() },
-    )
-    .with_jobs(opts.jobs);
+    let mut thresher =
+        Thresher::with_setup(program, thresher::PointsToPolicy::Insensitive, opts.config.clone())
+            .with_jobs(opts.jobs);
     if let Some(dir) = &opts.cache_dir {
-        if opts.cache_mode != CacheMode::Off {
-            thresher = match thresher.with_cache(std::path::Path::new(dir), opts.cache_mode) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: cannot open cache {dir}: {e}");
-                    return ExitCode::from(exit::IOERR);
-                }
-            };
-        }
+        thresher = match thresher.with_cache(std::path::Path::new(dir), opts.cache_mode) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("error: cannot open cache {dir}: {e}");
+                return ExitCode::from(exit::IOERR);
+            }
+        };
     }
 
     if opts.dump_pta {
@@ -413,11 +389,7 @@ fn analyze(opts: &Options, program: &tir::Program) -> ExitCode {
 
 fn write_outputs(opts: &Options, rec: &MemRecorder) -> Result<(), String> {
     if let Some(path) = &opts.report_out {
-        let report = rec.run_report(&[
-            ("program", &opts.path),
-            ("tool", "thresher-cli"),
-            ("pta_solver", opts.pta_solver.name()),
-        ]);
+        let report = rec.run_report(&[("program", &opts.path), ("tool", "thresher-cli")]);
         std::fs::write(path, report.to_json())
             .map_err(|e| format!("cannot write report {path}: {e}"))?;
         eprintln!(
@@ -463,17 +435,6 @@ fn diff_reports(path_a: &str, path_b: &str) -> Result<bool, String> {
         differ("schema", schema_of(&a), schema_of(&b));
     }
 
-    // When the reports come from different fixpoint strategies, counters
-    // that measure *how* the fixpoint was reached (rather than what it is)
-    // legitimately differ; everything result-derived must still match.
-    let solver_of = |v: &Value| {
-        v.get("meta").and_then(|m| m.get("pta_solver")).and_then(Value::as_str).map(str::to_owned)
-    };
-    let cross_solver = solver_of(&a) != solver_of(&b);
-    const STRATEGY_COUNTERS: [&str; 4] =
-        ["pta_propagations", "pta_deltas_pushed", "pta_sccs_collapsed", "pta_drainlog_compactions"];
-    const STRATEGY_HISTS: [&str; 2] = ["pta_worklist_len", "pta_delta_size"];
-
     // Counters: compare the union of keys so a missing counter is a
     // difference, not a silent skip.
     let obj_keys = |v: &Value, section: &str| -> Vec<String> {
@@ -491,9 +452,6 @@ fn diff_reports(path_a: &str, path_b: &str) -> Result<bool, String> {
     for key in &counter_keys {
         if key.starts_with("cache_") {
             continue; // cache-effectiveness metric (cold vs warm): differs by design
-        }
-        if cross_solver && STRATEGY_COUNTERS.contains(&key.as_str()) {
-            continue; // fixpoint-strategy metric: differs by design
         }
         let get = |v: &Value| {
             v.get("counters")
@@ -516,9 +474,6 @@ fn diff_reports(path_a: &str, path_b: &str) -> Result<bool, String> {
     for key in &hist_keys {
         if key.ends_with("_ns") || key.ends_with("_us") {
             continue; // wall-clock histogram: timing-dependent by design
-        }
-        if cross_solver && STRATEGY_HISTS.contains(&key.as_str()) {
-            continue; // fixpoint-strategy metric: differs by design
         }
         let get = |v: &Value| {
             v.get("histograms")

@@ -6,7 +6,6 @@
 //! options:
 //!   --listen <addr:port>       additionally accept TCP clients (newline-
 //!                              delimited JSON, same protocol as stdio)
-//!   --workers <N>              request-handler threads (default 2)
 //!   --jobs <N>                 refutation threads per request (default 1)
 //!   --queue-cap <N>            pending-queue bound; beyond it requests are
 //!                              shed with retry_after_ms (default 64)
@@ -14,9 +13,6 @@
 //!                              (default 8)
 //!   --deadline-ms <N>          default per-request deadline (default 60000;
 //!                              params.deadline_ms overrides per request)
-//!   --global-budget <N>        global path-program budget divided fairly
-//!                              among in-flight requests (default
-//!                              10000 x workers)
 //!   --rate <N>                 per-client token-bucket refill, requests/s
 //!                              (default 100)
 //!   --burst <N>                per-client token-bucket capacity
@@ -43,7 +39,9 @@
 //!                              is truncated away (default 1048576)
 //!
 //! The daemon serves requests from stdin and answers on stdout, one JSON
-//! object per line (see thresher::serve::protocol). It exits — after
+//! object per line (see thresher::serve::protocol). One worker executes
+//! queued requests in arrival order; a request's path-program budget is
+//! params.budget (default 10000, at most 20000). It exits — after
 //! finishing queued and in-flight work — on stdin EOF, a "shutdown"
 //! request, or SIGTERM, with exit code 0; startup errors use the exit
 //! contract in thresher::exit (64 usage, 74 I/O).
@@ -72,14 +70,12 @@ fn parse_args() -> Result<Options, String> {
     let mut listen = None;
     let mut metrics_addr = None;
     let mut report_out = None;
-    let mut global_budget = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--listen" => {
                 listen = Some(args.next().ok_or("--listen needs <addr:port>")?);
             }
-            "--workers" => config.workers = next_num(&mut args, "--workers")?.max(1) as usize,
             "--jobs" => config.jobs = next_num(&mut args, "--jobs")?.max(1) as usize,
             "--queue-cap" => config.queue_cap = next_num(&mut args, "--queue-cap")? as usize,
             "--max-resident" => {
@@ -89,7 +85,6 @@ fn parse_args() -> Result<Options, String> {
                 config.request_deadline =
                     std::time::Duration::from_millis(next_num(&mut args, "--deadline-ms")?);
             }
-            "--global-budget" => global_budget = Some(next_num(&mut args, "--global-budget")?),
             "--rate" => config.rate_per_sec = next_num(&mut args, "--rate")? as f64,
             "--burst" => config.burst = next_num(&mut args, "--burst")?.max(1) as f64,
             "--cache-dir" => {
@@ -118,8 +113,6 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    // The fair-share default tracks the (possibly overridden) worker count.
-    config.global_budget = global_budget.unwrap_or(10_000 * config.workers as u64);
     Ok(Options { config, listen, metrics_addr, report_out })
 }
 

@@ -69,7 +69,7 @@ pub use clients::{Escape, EscapeChecker, EscapeReport};
 pub use null::{NullClient, NullDeref, NullReport};
 pub use obs;
 pub use pta::ContextPolicy as PointsToPolicy;
-pub use pta::{PtaOptions, SolverKind};
+pub use pta::PtaOptions;
 pub use symex::{
     default_jobs, AbortCounts, CacheMode, DecisionStore, DerefSite, EdgeAnswer, EdgeDecision,
     JobVerdict, LoopMode, ReachJob, RefKey, RefutationScheduler, Representation, SchedulerOutcome,
@@ -153,8 +153,8 @@ impl<'p> Thresher<'p> {
     /// producer statements, engine configuration, and the canonical text of
     /// every method in the edge's call-graph slice — matches a stored record
     /// are warm-started without any symbolic execution; in
-    /// [`CacheMode::ReadWrite`] fresh decisions are written through.
-    /// [`CacheMode::Off`] leaves the façade cache-free (no I/O at all).
+    /// [`CacheMode::ReadWrite`] fresh decisions are written through. A
+    /// façade without this call is cache-free (no I/O at all).
     ///
     /// # Errors
     ///
@@ -162,10 +162,6 @@ impl<'p> Thresher<'p> {
     /// *corrupt* store is not an error: damaged lines are skipped (counted
     /// in `cache_skipped_corrupt`) and the run degrades to cold.
     pub fn with_cache(mut self, dir: &Path, mode: CacheMode) -> std::io::Result<Self> {
-        if mode == CacheMode::Off {
-            self.cache = None;
-            return Ok(self);
-        }
         self.cache = Some(Arc::new(DecisionStore::open(dir, mode, self.program)?));
         Ok(self)
     }

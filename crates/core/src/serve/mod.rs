@@ -7,11 +7,11 @@
 //! CLI never needed:
 //!
 //! 1. **Fault isolation.** Every request runs under [`obs::capture`] +
-//!    `catch_unwind` with its own deadline and a fair share of a global
-//!    path-program budget. A panicking or runaway request produces a
-//!    structured error (tagged with [`StopReason`](symex::StopReason)
-//!    provenance) while the daemon keeps serving, and its metrics delta is
-//!    never committed half-applied to the global recorder.
+//!    `catch_unwind` with its own deadline and path-program budget. A
+//!    panicking or runaway request produces a structured error (tagged
+//!    with [`StopReason`](symex::StopReason) provenance) while the daemon
+//!    keeps serving, and its metrics delta is never committed
+//!    half-applied to the global recorder.
 //! 2. **Admission control.** A bounded pending queue sheds load with a
 //!    `retry_after_ms` hint instead of queueing unboundedly; per-client
 //!    token buckets stop one chatty client from starving the rest; a
@@ -23,8 +23,11 @@
 //!    [`DecisionStore`] carries a byte cap that triggers generation-based
 //!    compaction (see `symex::persist`).
 //!
-//! Request metrics are buffered per request and replayed into the global
-//! recorder only after the request completes, so a per-request
+//! One request worker executes the queue in arrival order, so a script's
+//! `load_program` always precedes the queries that follow it; `--jobs`
+//! parallelises the refutation inside each request, where answers cannot
+//! move. Request metrics are buffered per request and replayed into the
+//! global recorder only after the request completes, so a per-request
 //! [`RunReport`](obs::RunReport) (params `"report": true`) is
 //! byte-comparable — modulo timing — with a one-shot `thresher-cli` run of
 //! the same work (`--diff-reports`).
@@ -79,8 +82,6 @@ pub fn drain_requested() -> bool {
 /// Daemon tuning knobs. The defaults suit an interactive local daemon.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Request-handler threads.
-    pub workers: usize,
     /// Refutation-scheduler threads *per request* (1 = sequential; every
     /// reported number is identical for every setting).
     pub jobs: usize,
@@ -91,10 +92,6 @@ pub struct ServeConfig {
     pub max_resident: usize,
     /// Default per-request deadline (params `deadline_ms` overrides).
     pub request_deadline: Duration,
-    /// Global path-program budget divided fairly among concurrently
-    /// executing requests. The default (`10_000 ×` workers) gives a solo
-    /// request exactly the one-shot CLI's default budget.
-    pub global_budget: u64,
     /// Token-bucket refill rate per client, requests/second.
     pub rate_per_sec: f64,
     /// Token-bucket burst capacity per client.
@@ -121,14 +118,11 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = 2;
         ServeConfig {
-            workers,
             jobs: 1,
             queue_cap: 64,
             max_resident: 8,
             request_deadline: Duration::from_secs(60),
-            global_budget: 10_000 * workers as u64,
             rate_per_sec: 100.0,
             burst: 200.0,
             cache_root: None,
@@ -142,7 +136,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// End-of-run accounting, also mirrored into [`obs`] counters
+/// The most path programs one request may ask for (`params.budget`); a
+/// request that names none runs the one-shot CLI's default budget.
+const MAX_REQUEST_BUDGET: u64 = 20_000;
+
+/// End-of-run accounting, read from the daemon's [`obs`] counters
 /// (`requests_admitted`, `requests_completed`, `requests_shed`,
 /// `requests_panicked`, `requests_timed_out`, `programs_evicted`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -202,16 +200,6 @@ struct Job {
     out: Out,
 }
 
-#[derive(Default)]
-struct Counts {
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    shed: AtomicU64,
-    panicked: AtomicU64,
-    timed_out: AtomicU64,
-    evicted: AtomicU64,
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Flow {
     Continue,
@@ -227,7 +215,6 @@ struct Shared {
     draining: AtomicBool,
     active: AtomicUsize,
     started: Instant,
-    counts: Counts,
     telemetry: Telemetry,
 }
 
@@ -258,7 +245,6 @@ impl Daemon {
                 draining: AtomicBool::new(false),
                 active: AtomicUsize::new(0),
                 started: Instant::now(),
-                counts: Counts::default(),
                 telemetry,
             }),
             listener: Mutex::new(None),
@@ -269,19 +255,17 @@ impl Daemon {
 
     /// Serves requests from `input` until EOF, a `shutdown` request, or
     /// [`request_drain`]; then drains — queued and in-flight requests
-    /// finish, workers exit — and returns the run's accounting.
+    /// finish, the worker exits — and returns the run's accounting.
     pub fn run<R: BufRead, W: Write + Send + 'static>(
         &self,
         mut input: R,
         output: W,
     ) -> RunSummary {
         let out: Out = Arc::new(Mutex::new(Box::new(output)));
-        let workers: Vec<JoinHandle<()>> = (0..self.shared.config.workers.max(1))
-            .map(|_| {
-                let shared = self.shared.clone();
-                std::thread::spawn(move || worker_loop(&shared))
-            })
-            .collect();
+        let worker = {
+            let shared = self.shared.clone();
+            std::thread::spawn(move || worker_loop(&shared))
+        };
 
         let mut buf = String::new();
         loop {
@@ -304,9 +288,7 @@ impl Daemon {
         }
 
         self.shared.begin_drain();
-        for h in workers {
-            let _ = h.join();
-        }
+        let _ = worker.join();
         if let Some(h) = self.listener.lock().unwrap().take() {
             let _ = h.join();
         }
@@ -485,17 +467,24 @@ impl Shared {
 
     /// Bumps a daemon-level counter on BOTH sinks: the global recorder
     /// (daemon-lifetime `--report-out` report) and the internal telemetry
-    /// registry (the `metrics` exposition). Keeping every daemon-level
-    /// emission behind this helper is what makes the two totals provably
-    /// equal.
+    /// registry (the `metrics` exposition and [`RunSummary`]). Keeping
+    /// every daemon-level emission behind this helper is what makes the
+    /// two totals provably equal. The recorder is written directly, past
+    /// any enclosing [`obs::capture`]: an eviction is tallied inside the
+    /// handler that caused it, and a request's delta is replayed into the
+    /// registry as well, so a buffered tally would count there twice.
     fn tally(&self, c: Counter, n: u64) {
-        obs::add(c, n);
+        if let Some(r) = obs::installed() {
+            r.add(c, n);
+        }
         self.telemetry.registry.add(c, n);
     }
 
     /// Histogram twin of [`Self::tally`].
     fn sample(&self, h: Hist, v: u64) {
-        obs::observe(h, v);
+        if let Some(r) = obs::installed() {
+            r.observe(h, v);
+        }
         self.telemetry.registry.observe(h, v);
     }
 
@@ -505,13 +494,14 @@ impl Shared {
     }
 
     fn summary(&self) -> RunSummary {
+        let count = |c| self.telemetry.registry.counter(c);
         RunSummary {
-            admitted: self.counts.admitted.load(Ordering::Relaxed),
-            completed: self.counts.completed.load(Ordering::Relaxed),
-            shed: self.counts.shed.load(Ordering::Relaxed),
-            panicked: self.counts.panicked.load(Ordering::Relaxed),
-            timed_out: self.counts.timed_out.load(Ordering::Relaxed),
-            evicted: self.counts.evicted.load(Ordering::Relaxed),
+            admitted: count(Counter::RequestsAdmitted),
+            completed: count(Counter::RequestsCompleted),
+            shed: count(Counter::RequestsShed),
+            panicked: count(Counter::RequestsPanicked),
+            timed_out: count(Counter::RequestsTimedOut),
+            evicted: count(Counter::ProgramsEvicted),
         }
     }
 
@@ -591,10 +581,6 @@ impl Shared {
             ("store_bytes".to_owned(), Value::uint(store_bytes)),
             ("queue_depth".to_owned(), Value::uint(depth as u64)),
             ("active".to_owned(), Value::uint(self.active.load(Ordering::Relaxed) as u64)),
-            (
-                "peak_active".to_owned(),
-                Value::uint(self.telemetry.peak_active.load(Ordering::Relaxed)),
-            ),
             ("draining".to_owned(), Value::Bool(self.is_draining())),
             ("uptime_ms".to_owned(), Value::uint(uptime.as_millis() as u64)),
             ("uptime_s".to_owned(), Value::uint(uptime.as_secs())),
@@ -624,11 +610,6 @@ impl Shared {
             self.active.load(Ordering::Relaxed) as f64,
         );
         p.gauge(
-            "thresher_serve_peak_active_requests",
-            "high-water mark of concurrently executing requests",
-            self.telemetry.peak_active.load(Ordering::Relaxed) as f64,
-        );
-        p.gauge(
             "thresher_serve_uptime_seconds",
             "seconds since the daemon started",
             self.started.elapsed().as_secs_f64(),
@@ -646,7 +627,7 @@ impl Shared {
     /// Admission control: drain check, per-client token bucket, bounded
     /// queue. Shed requests get an immediate structured error with a
     /// backoff hint plus the recent queue-wait estimate; admitted requests
-    /// are queued for a worker. Privileged (observability) requests skip
+    /// are queued for the worker. Privileged (observability) requests skip
     /// the bucket and the queue cap — see [`Self::handle_line`].
     fn admit(self: &Arc<Self>, req: Request, out: &Out, privileged: bool) {
         if self.is_draining() {
@@ -666,12 +647,11 @@ impl Shared {
             self.shed(&req, out, ServeError::overloaded(100));
             return;
         }
-        // Tally BEFORE the push (still under the queue lock): a worker
+        // Tally BEFORE the push (still under the queue lock): the worker
         // that pops this job and renders the exposition must already see
         // it counted, so `requests_admitted` in a `metrics` response
         // deterministically includes the scrape itself.
         let depth = queue.len() as u64 + 1;
-        self.counts.admitted.fetch_add(1, Ordering::Relaxed);
         self.tally(Counter::RequestsAdmitted, 1);
         self.sample(Hist::QueueDepth, depth);
         self.telemetry.record_queue_depth(depth);
@@ -685,7 +665,6 @@ impl Shared {
         // can tell a backed-up daemon (large) from a rate-limit blip
         // (small) without another round trip.
         let e = e.with_queue_wait(self.telemetry.queue_wait_hint_ms());
-        self.counts.shed.fetch_add(1, Ordering::Relaxed);
         self.tally(Counter::RequestsShed, 1);
         write_line(out, &err_response(&req.id, &e));
     }
@@ -740,7 +719,6 @@ impl Shared {
             match victim {
                 Some(n) => {
                     residency.map.remove(&n);
-                    self.counts.evicted.fetch_add(1, Ordering::Relaxed);
                     self.tally(Counter::ProgramsEvicted, 1);
                 }
                 None => break,
@@ -748,26 +726,22 @@ impl Shared {
         }
     }
 
-    /// The per-request path-program budget: the requested (or CLI-default)
-    /// budget, capped at this request's fair share of the global budget
-    /// across currently executing requests. A solo request on a default
-    /// daemon gets exactly the one-shot CLI default.
-    fn fair_budget(&self, requested: Option<u64>) -> u64 {
-        let active = self.active.load(Ordering::Relaxed).max(1) as u64;
-        let share = (self.config.global_budget / active).max(1);
-        requested.unwrap_or(10_000).min(share)
-    }
-
-    /// The engine configuration for one request. Deliberately does NOT set
+    /// The engine configuration for one request: the default one-shot
+    /// CLI configuration with the request's `budget`, clamped to
+    /// [`MAX_REQUEST_BUDGET`]. Deliberately does NOT set
     /// `total_deadline`: the deadline duration is part of the decision
     /// fingerprint (`symex::persist`), so a per-request remaining-time value
     /// would give every request a unique fingerprint and starve the
     /// resident cache. Deadlines are enforced at the daemon level instead
     /// (queue-expiry pre-check, post-completion check) and the path-program
-    /// budget bounds engine work; a solo request's config is identical to a
-    /// default one-shot CLI run's, so stores warm-start across both.
-    fn engine_config(&self, requested: Option<u64>) -> SymexConfig {
-        SymexConfig { budget: self.fair_budget(requested), ..SymexConfig::default() }
+    /// budget bounds engine work; a request without `budget` runs exactly
+    /// the default one-shot CLI configuration, so stores warm-start across
+    /// both.
+    fn engine_config(req: &Request) -> SymexConfig {
+        let defaults = SymexConfig::default();
+        let requested = req.params.get("budget").and_then(Value::as_u64);
+        let budget = requested.unwrap_or(defaults.budget).min(MAX_REQUEST_BUDGET);
+        SymexConfig { budget, ..defaults }
     }
 
     // ---- request handlers (run on a worker, inside capture+catch_unwind) ----
@@ -896,9 +870,9 @@ impl Shared {
         let res = self.resident(name)?;
         let ops = parse_edit_ops(req)?;
 
-        // Take (or lazily build) the resident delta solver. It is removed
-        // from the old resident while we work: a concurrent edit on the
-        // same program falls back to a fresh solve rather than racing.
+        // Take (or lazily build) the resident delta solver. It moves from
+        // the old resident to the new one; should this request fail
+        // midway, the next edit rebuilds it with one full solve.
         let mut inc = match res.incr.lock().unwrap().take() {
             Some(inc) => inc,
             None => phases.time("pta", || {
@@ -999,7 +973,7 @@ impl Shared {
                 ServeError::bad_request(format!("no abstract location named {loc_name}"))
             })?;
 
-        let config = self.engine_config(req.params.get("budget").and_then(Value::as_u64));
+        let config = Self::engine_config(req);
         phases.note_budget(config.budget);
         let mut sched =
             RefutationScheduler::new(&res.program, &res.pta, &res.modref, config, self.config.jobs);
@@ -1060,7 +1034,7 @@ impl Shared {
                  analyze needs one"
             )));
         }
-        let config = self.engine_config(req.params.get("budget").and_then(Value::as_u64));
+        let config = Self::engine_config(req);
         phases.note_budget(config.budget);
         let mut client = android::LeakClient::new(&res.program, &res.pta, &res.modref, config)
             .with_jobs(self.config.jobs);
@@ -1099,7 +1073,7 @@ impl Shared {
         res: &Resident,
         phases: &mut Phases,
     ) -> Result<Value, ServeError> {
-        let config = self.engine_config(req.params.get("budget").and_then(Value::as_u64));
+        let config = Self::engine_config(req);
         phases.note_budget(config.budget);
         let mut client = crate::null::NullClient::new(&res.program, &res.pta, &res.modref, config)
             .with_jobs(self.config.jobs);
@@ -1169,7 +1143,7 @@ impl Shared {
     }
 }
 
-/// One request-handler thread: pop, check the deadline, run the handler
+/// The request-handler thread: pop, check the deadline, run the handler
 /// inside capture + `catch_unwind`, commit the metrics delta, attach the
 /// cost block, respond — and feed the telemetry plane (latency windows,
 /// queue-wait samples, slow log) along the way.
@@ -1195,15 +1169,13 @@ fn worker_loop(shared: &Arc<Shared>) {
         shared.telemetry.record_queue_wait(queue_wait_us);
 
         if Instant::now() >= job.deadline {
-            shared.counts.timed_out.fetch_add(1, Ordering::Relaxed);
             shared.tally(Counter::RequestsTimedOut, 1);
             let e = ServeError::deadline("deadline expired while queued");
             write_line(&job.out, &err_response(&job.req.id, &e));
             continue;
         }
 
-        let active = shared.active.fetch_add(1, Ordering::Relaxed) + 1;
-        shared.telemetry.note_active(active as u64);
+        shared.active.fetch_add(1, Ordering::Relaxed);
         let mut phases = Phases::start();
         // catch_unwind sits INSIDE the capture closure so a panicking
         // handler still yields its (discarded) delta instead of unwinding
@@ -1222,21 +1194,18 @@ fn worker_loop(shared: &Arc<Shared>) {
 
         let (line, outcome) = match result {
             Err(payload) => {
-                shared.counts.panicked.fetch_add(1, Ordering::Relaxed);
                 shared.tally(Counter::RequestsPanicked, 1);
                 let e = ServeError::panic(panic_message(payload.as_ref()));
                 (err_response(&job.req.id, &e), "panic".to_owned())
             }
             Ok(Err(e)) => {
                 if e.code == ErrorCode::Deadline {
-                    shared.counts.timed_out.fetch_add(1, Ordering::Relaxed);
                     shared.tally(Counter::RequestsTimedOut, 1);
                 }
                 (err_response(&job.req.id, &e), format!("err:{}", e.code.as_str()))
             }
             Ok(Ok(body)) => {
                 if Instant::now() > job.deadline {
-                    shared.counts.timed_out.fetch_add(1, Ordering::Relaxed);
                     shared.tally(Counter::RequestsTimedOut, 1);
                     let e = ServeError::deadline("request completed after its deadline");
                     (err_response(&job.req.id, &e), "err:deadline".to_owned())
@@ -1255,7 +1224,6 @@ fn worker_loop(shared: &Arc<Shared>) {
                             }
                         }
                     }
-                    shared.counts.completed.fetch_add(1, Ordering::Relaxed);
                     shared.tally(Counter::RequestsCompleted, 1);
                     let mut body = body;
                     if let Value::Obj(fields) = &mut body {
@@ -1407,10 +1375,7 @@ entry main;
 
     #[test]
     fn load_query_health_shutdown() {
-        // One worker: with more, a query can run before the load it
-        // follows in the script.
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let daemon = Daemon::new(config);
+        let daemon = Daemon::new(ServeConfig::default());
         let script = format!(
             "{}\n\
              {{\"id\": 2, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"secret0\"}}}}\n\
@@ -1440,8 +1405,7 @@ entry main;
 
     #[test]
     fn edit_updates_resident_analysis() {
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let daemon = Daemon::new(config);
+        let daemon = Daemon::new(ServeConfig::default());
         // `b.item = secret;` lands before `$CACHE = b;` (ordinal 4), making
         // the previously-refuted CACHE → secret0 path witnessable.
         let script = format!(
@@ -1534,10 +1498,7 @@ entry main;
 
     #[test]
     fn injection_requires_opt_in() {
-        // One worker, so the query cannot overtake the load (the answer
-        // would be `not-loaded` instead of `bad-request`).
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
-        let daemon = Daemon::new(config);
+        let daemon = Daemon::new(ServeConfig::default());
         let script = format!(
             "{}\n\
              {{\"id\": 2, \"method\": \"query_edge\", \"params\": {{\"program\": \"boxy\", \"global\": \"CACHE\", \"loc\": \"str0\", \"inject\": \"panic\"}}}}\n",
@@ -1552,7 +1513,7 @@ entry main;
 
     #[test]
     fn contained_panic_keeps_serving() {
-        let config = ServeConfig { inject: true, workers: 1, ..ServeConfig::default() };
+        let config = ServeConfig { inject: true, ..ServeConfig::default() };
         let daemon = Daemon::new(config);
         let script = format!(
             "{}\n\

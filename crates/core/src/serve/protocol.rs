@@ -7,8 +7,11 @@
 //! {"id": 1, "method": "analyze", "params": {"program": "app", "report": true}}
 //! ```
 //!
-//! One response per line, correlated by the echoed `id` (requests may
-//! complete out of order under multiple workers):
+//! One response per line, correlated by the echoed `id`. Queued requests
+//! (`load_program`, `edit`, `analyze`, `query_edge`, `evict`, `metrics`,
+//! `slowlog`) run one at a time and answer in arrival order. `health`,
+//! `shutdown`, shed requests and malformed lines answer inline at once, so
+//! their responses can overtake queued ones:
 //!
 //! ```json
 //! {"id": 1, "ok": {...}}

@@ -17,10 +17,10 @@
 //!    slow log are all carved out of captured deltas. The `metrics` method
 //!    still renders from [`Telemetry::registry`], not the global registry;
 //!    it receives every successful request's delta (via `replay_into`) and
-//!    every daemon-level tally ([`super::Shared`] mirrors each `obs::add`
-//!    here). Both sinks are live, and their counter totals agree, modulo
-//!    the in-flight scrape itself (`requests_completed` lags by exactly
-//!    the requests still executing when the exposition is rendered).
+//!    every daemon-level tally (`Shared::tally` writes both sinks). Both
+//!    sinks are live, and their counter totals agree, modulo the
+//!    in-flight scrape itself (`requests_completed` lags by the request
+//!    executing when the exposition is rendered).
 //! 3. **Slow-log entries are bounded.** The JSONL slow log self-truncates:
 //!    when an append pushes the file past its byte cap, the oldest lines
 //!    are dropped until the newest ones fit in half the cap (so appends
@@ -28,14 +28,13 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use obs::json::Value;
 use obs::{Counter, Hist, MetricsDelta, Registry, SlidingWindow};
 
-/// Live aggregation state shared by every worker and transport thread.
+/// Live aggregation state shared by the worker and every transport thread.
 pub(super) struct Telemetry {
     /// Daemon-lifetime counters/histograms, independent of the global
     /// recorder (see module docs).
@@ -46,8 +45,6 @@ pub(super) struct Telemetry {
     pub(super) queue_wait: Mutex<SlidingWindow>,
     /// Queue-depth ring, sampled at each admission.
     pub(super) queue_depth: Mutex<SlidingWindow>,
-    /// High-water mark of concurrently executing requests.
-    pub(super) peak_active: AtomicU64,
     /// Ring capacity for new per-method windows.
     window: usize,
     /// Slow-request log, when configured.
@@ -61,7 +58,6 @@ impl Telemetry {
             latency: Mutex::new(BTreeMap::new()),
             queue_wait: Mutex::new(SlidingWindow::new(window)),
             queue_depth: Mutex::new(SlidingWindow::new(window)),
-            peak_active: AtomicU64::new(0),
             window,
             slow,
         }
@@ -84,11 +80,6 @@ impl Telemetry {
     /// Records the queue depth seen at one admission.
     pub(super) fn record_queue_depth(&self, depth: u64) {
         self.queue_depth.lock().unwrap().push(depth);
-    }
-
-    /// Raises the in-flight high-water mark to at least `active`.
-    pub(super) fn note_active(&self, active: u64) {
-        self.peak_active.fetch_max(active, Ordering::Relaxed);
     }
 
     /// A recent queue-wait estimate (window p90, milliseconds) for shed
@@ -165,7 +156,7 @@ impl Phases {
         r
     }
 
-    /// Records the fair path-program budget the handler actually ran with.
+    /// Records the path-program budget the handler actually ran with.
     pub(super) fn note_budget(&mut self, budget: u64) {
         self.budget = Some(budget);
     }
@@ -218,6 +209,10 @@ pub(super) fn cost_value(
         ("queue_wait_ms".to_owned(), Value::uint(queue_wait_us / 1000)),
         ("phases".to_owned(), phase_obj),
         ("path_programs".to_owned(), Value::uint(delta.counter(Counter::PathPrograms))),
+        (
+            "cache_fresh_path_programs".to_owned(),
+            Value::uint(delta.counter(Counter::CacheFreshPathPrograms)),
+        ),
         ("budget".to_owned(), phases.budget.map_or(Value::Null, Value::uint)),
         ("solver_calls".to_owned(), Value::uint(delta.counter(Counter::SolverCalls))),
         ("solver_ns".to_owned(), Value::uint(delta.histogram(Hist::SolverNanos).sum)),
@@ -328,6 +323,7 @@ mod tests {
         rec.reset();
         let ((), delta) = obs::capture(|| {
             obs::add(Counter::PathPrograms, 7);
+            obs::add(Counter::CacheFreshPathPrograms, 5);
             obs::add(Counter::SolverCalls, 3);
             obs::add(Counter::CacheHits, 2);
             obs::observe(Hist::SolverNanos, 1000);
@@ -340,6 +336,7 @@ mod tests {
         assert_eq!(cost.get("wall_us").and_then(Value::as_u64), Some(9000));
         assert_eq!(cost.get("queue_wait_ms").and_then(Value::as_u64), Some(2));
         assert_eq!(cost.get("path_programs").and_then(Value::as_u64), Some(7));
+        assert_eq!(cost.get("cache_fresh_path_programs").and_then(Value::as_u64), Some(5));
         assert_eq!(cost.get("budget").and_then(Value::as_u64), Some(1234));
         assert_eq!(cost.get("solver_calls").and_then(Value::as_u64), Some(3));
         assert_eq!(cost.get("solver_ns").and_then(Value::as_u64), Some(1500));
@@ -385,9 +382,6 @@ mod tests {
         t.record_latency("analyze", 100);
         t.record_latency("analyze", 200);
         t.record_queue_depth(3);
-        t.note_active(2);
-        t.note_active(1);
-        assert_eq!(t.peak_active.load(Ordering::Relaxed), 2);
         let mut p = obs::prom::PromText::new();
         t.windows_into(&mut p);
         let samples = obs::prom::parse(&p.finish()).unwrap();

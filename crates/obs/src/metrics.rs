@@ -154,6 +154,10 @@ metric_enum! {
         CacheCompactions => "cache_compactions",
         /// Records dropped (least-recently-hit first) by compactions.
         CacheRecordsDropped => "cache_records_dropped",
+        /// Path programs of the decisions computed live at commit, never of
+        /// a store hit (whose replayed `path_programs` counts a search
+        /// that did not run here): 0 on a fully warm run.
+        CacheFreshPathPrograms => "cache_fresh_path_programs",
         // --- clients ---
         /// Alarms reported by the flow-insensitive analysis.
         AlarmsFound => "alarms_found",

@@ -7,7 +7,7 @@
 //! virtual calls are *complex* constraints indexed on their base/receiver
 //! node and re-processed as that node's points-to set grows.
 //!
-//! Two fixpoint engines share that constraint graph (see [`SolverKind`]):
+//! Two fixpoint engines share that constraint graph:
 //!
 //! * **Delta propagation** (the default): each node keeps an `old/delta`
 //!   split — `old` holds locations already pushed downstream, `delta` the
@@ -19,7 +19,7 @@
 //!   nothing and both endpoint sets are equal) and collapsed into a
 //!   representative node via union-find, Nuutila/LCD style.
 //! * **Reference**: the textbook full-set worklist solver, kept as the
-//!   differential-testing oracle.
+//!   differential-testing oracle ([`analyze_reference`]).
 //!
 //! Both engines renumber abstract locations canonically after solving
 //! ([`LocTable::canonicalize`]), so their final [`PtaResult`]s are
@@ -131,6 +131,8 @@ pub(crate) struct Solver {
     pub(crate) call_edges: HashSet<(CmdId, MethodId)>,
     pub(crate) reached_methods: BitSet,
     pub(crate) options: PtaOptions,
+    /// The fixpoint engine; [`SolverKind::Delta`] except in the oracle.
+    pub(crate) kind: SolverKind,
     /// Incremental rebuild mode: registration lays down constraint
     /// structure (and evaluates complex constraints of already-solved
     /// nodes structurally) but copy edges push nothing — the boundary
@@ -184,6 +186,7 @@ impl Solver {
             call_edges: HashSet::new(),
             reached_methods: BitSet::new(),
             options: PtaOptions::default(),
+            kind: SolverKind::Delta,
             rebuilding: false,
             suspended: HashSet::new(),
             propagations: 0,
@@ -236,7 +239,7 @@ impl Solver {
     }
 
     pub(crate) fn add_loc(&mut self, node: NodeId, loc: LocId) {
-        match self.options.solver {
+        match self.kind {
             SolverKind::Reference => {
                 if self.pts[node.0 as usize].insert(loc.index()) {
                     self.worklist.push_back(node);
@@ -257,7 +260,7 @@ impl Solver {
     }
 
     fn add_copy(&mut self, from: NodeId, to: NodeId) {
-        match self.options.solver {
+        match self.kind {
             SolverKind::Reference => {
                 if insert_sorted(&mut self.copy_succs[from.0 as usize], to)
                     && !self.pts[from.0 as usize].is_empty()
@@ -390,7 +393,7 @@ impl Solver {
     /// new constraint against the base's already-propagated set at once
     /// (the pending delta reaches it through the worklist).
     fn register_load(&mut self, base: NodeId, f: FieldId, dst: NodeId) {
-        match self.options.solver {
+        match self.kind {
             SolverKind::Reference => {
                 self.loads[base.0 as usize].push((f, dst));
                 if !self.pts[base.0 as usize].is_empty() {
@@ -413,7 +416,7 @@ impl Solver {
     /// Registers a store constraint `base.f = src`; seeding mirrors
     /// [`Solver::register_load`].
     fn register_store(&mut self, program: &Program, base: NodeId, f: FieldId, src: NodeId) {
-        match self.options.solver {
+        match self.kind {
             SolverKind::Reference => {
                 self.stores[base.0 as usize].push((f, src));
                 if !self.pts[base.0 as usize].is_empty() {
@@ -436,7 +439,7 @@ impl Solver {
     fn register_recv_call(&mut self, program: &Program, recv: NodeId, call: RecvCall) {
         let idx = self.calls.len();
         self.calls.push(call);
-        match self.options.solver {
+        match self.kind {
             SolverKind::Reference => {
                 self.recv_calls[recv.0 as usize].push(idx);
                 if !self.pts[recv.0 as usize].is_empty() {
@@ -722,7 +725,7 @@ impl Solver {
 
     pub(crate) fn solve(&mut self, program: &Program, entry: MethodId) {
         let _span = obs::span(obs::SpanKind::Pta, "points-to solve");
-        match self.options.solver {
+        match self.kind {
             SolverKind::Reference => self.solve_reference(program, entry),
             SolverKind::Delta => self.solve_delta(program, entry),
         }
@@ -1220,40 +1223,18 @@ pub fn analyze(program: &Program, policy: ContextPolicy) -> PtaResult {
     analyze_with(program, policy, &PtaOptions::default())
 }
 
-/// Which fixpoint engine [`analyze_with`] runs. Both produce the same
+/// Which fixpoint engine a solve runs. Both produce the same
 /// [`PtaResult`], bit for bit; only the amount of work differs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SolverKind {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SolverKind {
     /// Difference propagation with online cycle collapsing: nodes keep an
     /// old/delta split, only deltas flow along copy edges, and copy cycles
-    /// are merged into a representative node via union-find.
-    #[default]
+    /// are merged into a representative node via union-find. The one
+    /// production engine ([`crate::IncrementalPta`] needs its state).
     Delta,
     /// The textbook full-set worklist solver, kept as the differential-
     /// testing reference for [`SolverKind::Delta`].
     Reference,
-}
-
-impl SolverKind {
-    /// Stable lowercase name, used in run-report meta and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            SolverKind::Delta => "delta",
-            SolverKind::Reference => "reference",
-        }
-    }
-}
-
-impl std::str::FromStr for SolverKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "delta" => Ok(SolverKind::Delta),
-            "reference" => Ok(SolverKind::Reference),
-            other => Err(format!("unknown solver {other:?} (expected delta|reference)")),
-        }
-    }
 }
 
 /// Extra inputs to the analysis.
@@ -1264,8 +1245,6 @@ pub struct PtaOptions {
     /// Stores into (and hence loads out of) the `contents` field of these
     /// arrays are suppressed.
     pub empty_contents_allocs: Vec<tir::AllocId>,
-    /// Fixpoint engine selection; [`SolverKind::Delta`] unless overridden.
-    pub solver: SolverKind,
     /// Soft cap on the incremental drain log: once a batch's log reaches
     /// this many entries it is compacted in place (entries resolved to
     /// their representatives, duplicates and suspended-owner entries
@@ -1275,11 +1254,7 @@ pub struct PtaOptions {
 
 impl Default for PtaOptions {
     fn default() -> Self {
-        PtaOptions {
-            empty_contents_allocs: Vec::new(),
-            solver: SolverKind::default(),
-            drain_log_cap: 4096,
-        }
+        PtaOptions { empty_contents_allocs: Vec::new(), drain_log_cap: 4096 }
     }
 }
 
@@ -1289,8 +1264,36 @@ impl Default for PtaOptions {
 ///
 /// Panics if `program` has no entry method.
 pub fn analyze_with(program: &Program, policy: ContextPolicy, options: &PtaOptions) -> PtaResult {
+    solve_with(program, policy, options, SolverKind::Delta)
+}
+
+/// The differential-testing oracle: [`analyze_with`] run by the textbook
+/// full-set worklist engine instead of difference propagation. The result
+/// is the same [`PtaResult`], bit for bit (canonical location numbering);
+/// only the amount of work differs. The tests and `thresher-cli
+/// --edit-script` hold [`analyze_with`] and [`crate::IncrementalPta`] to
+/// it.
+///
+/// # Panics
+///
+/// Panics if `program` has no entry method.
+pub fn analyze_reference(
+    program: &Program,
+    policy: ContextPolicy,
+    options: &PtaOptions,
+) -> PtaResult {
+    solve_with(program, policy, options, SolverKind::Reference)
+}
+
+fn solve_with(
+    program: &Program,
+    policy: ContextPolicy,
+    options: &PtaOptions,
+    kind: SolverKind,
+) -> PtaResult {
     let mut solver = Solver::new(policy);
     solver.options = options.clone();
+    solver.kind = kind;
     solver.solve(program, program.entry());
     let result = solver.finish(program);
     result.check_types(program);
@@ -1545,8 +1548,7 @@ entry main;
 "#;
         let p = parse(src).expect("parse");
         for solver in [SolverKind::Delta, SolverKind::Reference] {
-            let opts = PtaOptions { solver, ..PtaOptions::default() };
-            let r = analyze_with(&p, ContextPolicy::Insensitive, &opts);
+            let r = solve_with(&p, ContextPolicy::Insensitive, &PtaOptions::default(), solver);
             let main = p.entry();
             let var = |n: &str| {
                 p.method(main).locals.iter().copied().find(|&v| p.var(v).name == n).unwrap()
@@ -1598,30 +1600,13 @@ fn main() {
 entry main;
 "#;
         let p = parse(src).expect("parse");
-        let delta = analyze_with(
-            &p,
-            ContextPolicy::Insensitive,
-            &PtaOptions { solver: SolverKind::Delta, ..PtaOptions::default() },
-        );
-        let reference = analyze_with(
-            &p,
-            ContextPolicy::Insensitive,
-            &PtaOptions { solver: SolverKind::Reference, ..PtaOptions::default() },
-        );
+        let delta = analyze_with(&p, ContextPolicy::Insensitive, &PtaOptions::default());
+        let reference = analyze_reference(&p, ContextPolicy::Insensitive, &PtaOptions::default());
         let g = p.global_by_name("OUT").unwrap();
         assert_eq!(delta.pt_global(g), reference.pt_global(g));
         assert!(!delta.pt_global(g).is_empty());
         let names: Vec<String> =
             delta.pt_global(g).iter().map(|l| delta.loc_name(&p, LocId(l as u32))).collect();
         assert_eq!(names, vec!["seed"]);
-    }
-
-    #[test]
-    fn solver_names_parse_back_and_nothing_else_does() {
-        for solver in [SolverKind::Delta, SolverKind::Reference] {
-            assert_eq!(solver.name().parse::<SolverKind>(), Ok(solver));
-        }
-        let err = "demand".parse::<SolverKind>().unwrap_err();
-        assert!(err.ends_with("(expected delta|reference)"), "{err}");
     }
 }

@@ -36,7 +36,7 @@ use std::collections::{HashMap, HashSet};
 
 use tir::{AppliedEdit, Callee, CmdId, Command, MethodId, Operand, Program};
 
-use crate::analysis::{Ctx, InstId, NodeId, NodeKind, PtaOptions, Solver, SolverKind};
+use crate::analysis::{Ctx, InstId, NodeId, NodeKind, PtaOptions, Solver};
 use crate::bitset::BitSet;
 use crate::context::ContextPolicy;
 use crate::loc::{AbsLoc, LocId, LocTable};
@@ -76,7 +76,7 @@ impl IncrementalPta {
     /// Panics if `program` has no entry method.
     pub fn new(program: &Program, policy: ContextPolicy, options: &PtaOptions) -> Self {
         let mut solver = Solver::new(policy);
-        solver.options = PtaOptions { solver: SolverKind::Delta, ..options.clone() };
+        solver.options = options.clone();
         solver.solve(program, program.entry());
         IncrementalPta { solver }
     }
@@ -672,7 +672,7 @@ fn edited_method(e: &AppliedEdit) -> MethodId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze_with;
+    use crate::analyze_reference;
     use crate::result::canonical_text;
     use tir::{apply_edits, EditOp};
 
@@ -691,11 +691,10 @@ mod tests {
         for policy in policies() {
             let mut program = tir::parse(src).expect("test program parses");
             let options = PtaOptions::default();
-            let reference = PtaOptions { solver: SolverKind::Reference, ..Default::default() };
             let mut inc = IncrementalPta::new(&program, policy.clone(), &options);
             assert_eq!(
                 canonical_text(&program, &inc.result(&program)),
-                canonical_text(&program, &analyze_with(&program, policy.clone(), &reference)),
+                canonical_text(&program, &analyze_reference(&program, policy.clone(), &options)),
                 "initial state diverges under {policy:?}"
             );
             for (bi, batch) in batches.iter().enumerate() {
@@ -703,8 +702,10 @@ mod tests {
                     .unwrap_or_else(|e| panic!("batch {bi} rejected: {}", e.message));
                 inc.apply_edits(&program, &applied);
                 let got = canonical_text(&program, &inc.result(&program));
-                let want =
-                    canonical_text(&program, &analyze_with(&program, policy.clone(), &reference));
+                let want = canonical_text(
+                    &program,
+                    &analyze_reference(&program, policy.clone(), &options),
+                );
                 assert_eq!(got, want, "batch {bi} diverges under {policy:?}");
             }
         }
@@ -783,10 +784,9 @@ entry main;
         assert!(stats.rebuilt);
         assert!(stats.dirty_nodes > 0);
         let got = canonical_text(&program, &inc.result(&program));
-        let reference = PtaOptions { solver: SolverKind::Reference, ..Default::default() };
         let want = canonical_text(
             &program,
-            &analyze_with(&program, ContextPolicy::Insensitive, &reference),
+            &analyze_reference(&program, ContextPolicy::Insensitive, &PtaOptions::default()),
         );
         assert_eq!(got, want);
         assert!(!got.contains("a0.f"), "retracted store left a heap edge:\n{got}");
@@ -953,12 +953,11 @@ entry main;
         let names: Vec<String> =
             stats.changed_methods.iter().map(|&m| program.method_name(m)).collect();
         assert!(names.iter().any(|n| n == "main"), "compacted log lost main: {names:?}");
-        let reference = PtaOptions { solver: SolverKind::Reference, ..Default::default() };
         assert_eq!(
             canonical_text(&program, &inc.result(&program)),
             canonical_text(
                 &program,
-                &analyze_with(&program, ContextPolicy::Insensitive, &reference)
+                &analyze_reference(&program, ContextPolicy::Insensitive, &PtaOptions::default())
             ),
             "compaction changed the fixpoint"
         );

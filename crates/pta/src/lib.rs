@@ -44,7 +44,7 @@ mod loc;
 mod modref;
 mod result;
 
-pub use analysis::{analyze, analyze_with, PtaOptions, SolverKind};
+pub use analysis::{analyze, analyze_reference, analyze_with, PtaOptions};
 pub use bitset::BitSet;
 pub use context::ContextPolicy;
 pub use graph::HeapGraphView;

@@ -450,7 +450,10 @@ impl Coordinator<'_, '_> {
             }
         }
         if !entry.from_disk {
+            // Outside the replayed delta, so a stored record never carries
+            // it and a hit never counts it.
             tally.fresh_path_programs += entry.stats.path_programs;
+            obs::add(obs::Counter::CacheFreshPathPrograms, entry.stats.path_programs);
         }
         tally.symex_time += entry.elapsed;
         tally.retries += u64::from(entry.decision.attempts.saturating_sub(1));
@@ -932,6 +935,45 @@ entry main;
         let other_out = other.run(&mut view, &work);
         assert_eq!(other_out.tally.cache_hits, 0, "config change must miss");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `cache_fresh_path_programs` counts only searches that ran: a cold
+    /// run's equals its tally's `fresh_path_programs`, and a warm rerun
+    /// replays the cold run's `path_programs` but adds nothing to it.
+    #[test]
+    fn fresh_path_programs_counter_skips_store_hits() {
+        use crate::persist::CacheMode;
+        use obs::Counter;
+        let _serial = obs::test_lock();
+        // `obs::capture` only buffers while a recorder is installed.
+        obs::MemRecorder::install_static(obs::RingCapacity::default());
+        let (p, r, m) = setup(SRC);
+        let work = jobs_for(&p, &r, &[("CACHE", "secret0"), ("CACHE", "str0"), ("OTHER", "str0")]);
+        for jobs in [1, 4] {
+            let dir = std::env::temp_dir().join(format!("thresher-parallel-fresh-j{jobs}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let pass = |mode| {
+                let store = Arc::new(DecisionStore::open(&dir, mode, &p).expect("open"));
+                let mut sched = RefutationScheduler::new(&p, &r, &m, SymexConfig::default(), jobs)
+                    .with_store(store);
+                let mut view = HeapGraphView::new(&r);
+                obs::capture(|| sched.run(&mut view, &work).tally)
+            };
+            let (cold, cold_obs) = pass(CacheMode::ReadWrite);
+            let fresh = cold_obs.counter(Counter::CacheFreshPathPrograms);
+            assert!(cold.fresh_path_programs > 0, "jobs={jobs}");
+            assert_eq!(fresh, cold.fresh_path_programs, "jobs={jobs}");
+            let (warm, warm_obs) = pass(CacheMode::Read);
+            assert_eq!(warm.cache_hits, cold.cache_misses, "jobs={jobs}");
+            assert_eq!(warm_obs.counter(Counter::CacheFreshPathPrograms), 0, "jobs={jobs}");
+            assert_eq!(
+                warm_obs.counter(Counter::PathPrograms),
+                cold_obs.counter(Counter::PathPrograms),
+                "jobs={jobs}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        obs::uninstall();
     }
 
     /// `b` is null unless the guarded allocation ran; `c` is always

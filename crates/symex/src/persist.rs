@@ -423,8 +423,6 @@ pub enum CacheMode {
     ReadWrite,
     /// Read existing records; never write.
     Read,
-    /// Ignore the cache entirely (no store is opened).
-    Off,
 }
 
 impl std::str::FromStr for CacheMode {
@@ -434,8 +432,7 @@ impl std::str::FromStr for CacheMode {
         match s {
             "read-write" => Ok(CacheMode::ReadWrite),
             "read" => Ok(CacheMode::Read),
-            "off" => Ok(CacheMode::Off),
-            other => Err(format!("unknown cache mode {other:?} (read-write|read|off)")),
+            other => Err(format!("unknown cache mode {other:?} (read-write|read)")),
         }
     }
 }
@@ -532,7 +529,6 @@ impl DecisionStore {
         program: &Program,
         limits: StoreLimits,
     ) -> std::io::Result<DecisionStore> {
-        assert!(mode != CacheMode::Off, "CacheMode::Off opens no store");
         let mut mode = mode;
         let mut lock_path = None;
         let mut lock_contended = false;
@@ -1325,7 +1321,17 @@ entry main;
         let (p, _r) = setup(SRC);
         let dir = std::env::temp_dir().join("thresher-persist-compact");
         let _ = std::fs::remove_dir_all(&dir);
-        let cap = 2048u64;
+        let hot = 1_000u64;
+        let key = |i: u64| format!("$CACHE => box{i}");
+        // A compaction keeps the newest record first and the hot one
+        // second. Half the cap holds the header and four of the longest
+        // records, so the hot one survives however long a record grows.
+        let line_len = |i: u64| {
+            let v = serialize_record(&p, hot + i, &key(i), &sample_decision()).unwrap();
+            v.to_json().len() as u64 + 1
+        };
+        let longest = (0..40u64).map(line_len).max().unwrap();
+        let cap = 2 * (header_line().len() as u64 + 1 + 4 * longest);
         let store = DecisionStore::open_with_limits(
             &dir,
             CacheMode::ReadWrite,
@@ -1333,9 +1339,8 @@ entry main;
             StoreLimits::with_max_bytes(cap),
         )
         .unwrap();
-        let hot = 1_000u64;
         for i in 0..40u64 {
-            store.record(&p, hot + i, &format!("$CACHE => box{i}"), &sample_decision());
+            store.record(&p, hot + i, &key(i), &sample_decision());
             // Keep the first record hot: every compaction must spare it.
             assert!(store.lookup(hot).is_some(), "hot record evicted at step {i}");
         }
@@ -1411,7 +1416,8 @@ entry main;
     fn cache_mode_parses() {
         assert_eq!("read-write".parse::<CacheMode>(), Ok(CacheMode::ReadWrite));
         assert_eq!("read".parse::<CacheMode>(), Ok(CacheMode::Read));
-        assert_eq!("off".parse::<CacheMode>(), Ok(CacheMode::Off));
+        // Leaving the cache off is leaving out the store, not a mode.
+        assert!("off".parse::<CacheMode>().is_err());
         assert!("rw".parse::<CacheMode>().is_err());
     }
 }

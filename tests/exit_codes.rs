@@ -68,7 +68,9 @@ fn cli_failure_band() {
     // Usage errors -> 64.
     assert_eq!(cli(&["--definitely-not-a-flag"]), Some(64));
     assert_eq!(cli(&[good.to_str().unwrap(), "--query", "NO_SUCH_GLOBAL", "str0"]), Some(64));
-    assert_eq!(cli(&[good.to_str().unwrap(), "--pta-solver", "demand"]), Some(64));
+    // `--pta-solver` is no flag, and `off` is no cache mode.
+    assert_eq!(cli(&[good.to_str().unwrap(), "--pta-solver", "delta"]), Some(64));
+    assert_eq!(cli(&[good.to_str().unwrap(), "--cache", "off"]), Some(64));
     // Missing input -> 66.
     assert_eq!(cli(&[dir.join("missing.tir").to_str().unwrap()]), Some(66));
     // Parse error -> 65.
@@ -80,15 +82,18 @@ fn cli_failure_band() {
 
 #[test]
 fn serve_shares_the_contract() {
-    // Usage error -> 64.
-    let code = Command::new(env!("CARGO_BIN_EXE_thresher-serve"))
-        .arg("--definitely-not-a-flag")
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .status()
-        .expect("run thresher-serve")
-        .code();
-    assert_eq!(code, Some(64));
+    // Usage errors -> 64; the daemon has no worker-pool flags.
+    for args in [&["--definitely-not-a-flag"][..], &["--workers", "2"], &["--global-budget", "5"]] {
+        let code = Command::new(env!("CARGO_BIN_EXE_thresher-serve"))
+            .args(args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("run thresher-serve")
+            .code();
+        assert_eq!(code, Some(64), "thresher-serve {args:?}");
+    }
 
     // A clean drain (EOF with no requests) -> 0.
     let mut child = Command::new(env!("CARGO_BIN_EXE_thresher-serve"))

@@ -16,9 +16,7 @@
 //!   quarter of the from-scratch solves' propagations.
 
 use minicheck::{run_cases, Rng};
-use pta::{
-    analyze_with, canonical_text, ContextPolicy, IncrementalPta, ModRef, PtaOptions, SolverKind,
-};
+use pta::{analyze_reference, canonical_text, ContextPolicy, IncrementalPta, ModRef, PtaOptions};
 use symex::{Engine, Fingerprinter, MethodHashCache, SymexConfig};
 use tir::interp::{Interp, Oracle};
 use tir::{apply_edits, EditOp, Program};
@@ -150,8 +148,7 @@ fn random_edit(rng: &mut Rng, program: &Program, fresh: &mut usize) -> EditOp {
 }
 
 fn reference_text(program: &Program, policy: &ContextPolicy) -> String {
-    let options = PtaOptions { solver: SolverKind::Reference, ..PtaOptions::default() };
-    canonical_text(program, &analyze_with(program, policy.clone(), &options))
+    canonical_text(program, &analyze_reference(program, policy.clone(), &PtaOptions::default()))
 }
 
 // ------------------------------------------------------------ property 1
@@ -457,9 +454,11 @@ fn null_report_matches_from_scratch_after_edits() {
             inc.apply_edits(&program, &applied);
 
             let incremental = report(&program, &inc.result(&program));
-            let options = PtaOptions { solver: SolverKind::Reference, ..PtaOptions::default() };
-            let scratch =
-                report(&program, &analyze_with(&program, ContextPolicy::Insensitive, &options));
+            let options = PtaOptions::default();
+            let scratch = report(
+                &program,
+                &analyze_reference(&program, ContextPolicy::Insensitive, &options),
+            );
             assert_eq!(
                 incremental.describe(&program),
                 scratch.describe(&program),

@@ -20,7 +20,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use apps::NullMotif;
-use thresher::{CacheMode, PointsToPolicy, PtaOptions, SolverKind, SymexConfig, Thresher};
+use pta::ModRef;
+use thresher::{CacheMode, NullClient, PointsToPolicy, PtaOptions, SymexConfig, Thresher};
 use tir::Program;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -181,32 +182,27 @@ fn corpus_files_run_null_client() {
 #[track_caller]
 fn assert_identical_everywhere(name: &str, program: &Program) {
     for policy in policies(program) {
-        let mk = |options: &PtaOptions| {
-            Thresher::with_options(program, policy.clone(), SymexConfig::default(), options)
-        };
-        let baseline = report_bytes(&mk(&PtaOptions::default()), program);
+        let mk = || Thresher::with_setup(program, policy.clone(), SymexConfig::default());
+        let baseline = report_bytes(&mk(), program);
 
         // Parallel scheduler.
-        let jobs4 = report_bytes(&mk(&PtaOptions::default()).with_jobs(4), program);
+        let jobs4 = report_bytes(&mk().with_jobs(4), program);
         assert_eq!(baseline, jobs4, "{name} ({policy:?}): jobs=4 changed the report");
 
-        // The alternate points-to solver.
-        let solver = SolverKind::Reference;
-        let got = report_bytes(&mk(&PtaOptions { solver, ..Default::default() }), program);
-        assert_eq!(baseline, got, "{name} ({policy:?}): {solver:?} changed the report");
+        // The reference points-to solver.
+        let pta = pta::analyze_reference(program, policy.clone(), &PtaOptions::default());
+        let modref = ModRef::compute(program, &pta);
+        let report = NullClient::new(program, &pta, &modref, SymexConfig::default()).run();
+        let got = (report.describe(program), report.to_value(program).to_json());
+        assert_eq!(baseline, got, "{name} ({policy:?}): the reference solver changed the report");
 
         // Cold write-through cache, then a warm read-only run over it.
         let dir = fresh_cache_dir();
-        let cold = report_bytes(
-            &mk(&PtaOptions::default()).with_cache(&dir, CacheMode::ReadWrite).expect("cache"),
-            program,
-        );
+        let cold =
+            report_bytes(&mk().with_cache(&dir, CacheMode::ReadWrite).expect("cache"), program);
         assert_eq!(baseline, cold, "{name} ({policy:?}): cold cache changed the report");
         let warm = report_bytes(
-            &mk(&PtaOptions::default())
-                .with_cache(&dir, CacheMode::Read)
-                .expect("cache")
-                .with_jobs(4),
+            &mk().with_cache(&dir, CacheMode::Read).expect("cache").with_jobs(4),
             program,
         );
         assert_eq!(baseline, warm, "{name} ({policy:?}): warm cache changed the report");

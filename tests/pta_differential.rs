@@ -11,7 +11,7 @@
 //! propagations than the reference on the scaled corpus.
 
 use minicheck::{run_cases, Rng};
-use pta::{analyze_with, canonical_text, ContextPolicy, PtaOptions, SolverKind};
+use pta::{analyze_reference, analyze_with, canonical_text, ContextPolicy, PtaOptions, PtaResult};
 use tir::{Operand, Program, ProgramBuilder, Ty};
 
 /// Solves `program` with both strategies and asserts byte-identical
@@ -19,11 +19,7 @@ use tir::{Operand, Program, ProgramBuilder, Ty};
 #[track_caller]
 fn assert_solvers_agree(name: &str, program: &Program, policy: ContextPolicy) {
     let delta = analyze_with(program, policy.clone(), &PtaOptions::default());
-    let reference = analyze_with(
-        program,
-        policy.clone(),
-        &PtaOptions { solver: SolverKind::Reference, ..Default::default() },
-    );
+    let reference = analyze_reference(program, policy.clone(), &PtaOptions::default());
     let (a, b) = (canonical_text(program, &delta), canonical_text(program, &reference));
     assert_eq!(a, b, "delta and reference solvers disagree on {name} under {policy:?}");
 }
@@ -69,11 +65,13 @@ fn solvers_agree_on_scaled_corpora() {
     }
 }
 
+type Solve = fn(&Program, ContextPolicy, &PtaOptions) -> PtaResult;
+
 /// Propagations one solve of `program` performs, counted on this thread
 /// only, so solves running in other tests do not leak into the count.
-fn propagations(program: &Program, solver: SolverKind) -> u64 {
-    let options = PtaOptions { solver, ..Default::default() };
-    let (_, metrics) = obs::capture(|| analyze_with(program, ContextPolicy::Insensitive, &options));
+fn propagations(program: &Program, solve: Solve) -> u64 {
+    let options = PtaOptions::default();
+    let (_, metrics) = obs::capture(|| solve(program, ContextPolicy::Insensitive, &options));
     metrics.counter(obs::Counter::PtaPropagations)
 }
 
@@ -85,8 +83,8 @@ fn delta_solver_propagates_less_on_scaled_corpus() {
     // `obs::capture` only buffers while a recorder is installed.
     obs::MemRecorder::install_static(obs::RingCapacity::default());
     let program = apps::scale::scaled_program(16);
-    let delta = propagations(&program, SolverKind::Delta);
-    let reference = propagations(&program, SolverKind::Reference);
+    let delta = propagations(&program, analyze_with);
+    let reference = propagations(&program, analyze_reference);
     assert!(delta > 0, "no propagations were counted");
     assert!(
         delta < reference,

@@ -129,12 +129,8 @@ fn err_code(lines: &[String], id: u64) -> String {
 #[test]
 fn fault_suite_daemon_survives_and_isolates() {
     let cache = tmp("faults");
-    let config = ServeConfig {
-        workers: 1,
-        inject: true,
-        cache_root: Some(cache.clone()),
-        ..ServeConfig::default()
-    };
+    let config =
+        ServeConfig { inject: true, cache_root: Some(cache.clone()), ..ServeConfig::default() };
     let daemon = Daemon::new(config);
     let script = [
         load_req(1, "boxy"),
@@ -205,7 +201,7 @@ fn per_request_report_matches_one_shot_cli() {
     let tir_path = dir.join("boxy.tir");
     fs::write(&tir_path, PROGRAM).expect("write program");
 
-    let daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let daemon = Daemon::new(ServeConfig::default());
     let script = [
         request(
             1,
@@ -294,7 +290,6 @@ fn soak_bounded_residency_and_caches_zero_answer_changes() {
     const CACHE_CAP: u64 = 1400;
     let cache = tmp("soak");
     let config = ServeConfig {
-        workers: 1,
         max_resident: 4,
         queue_cap: 4096,
         rate_per_sec: 1e9,
@@ -394,7 +389,7 @@ fn two_clients_get_identical_reports() {
     rec.reset();
 
     let dir = tmp("two-clients");
-    let daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let daemon = Daemon::new(ServeConfig::default());
     let q = |id: u64, client: &str| {
         let mut v =
             obs::json::parse(&query_req(id, "boxy", "secret0", &[("report", Value::Bool(true))]))
@@ -432,6 +427,46 @@ fn two_clients_get_identical_reports() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A default daemon runs its queue in arrival order: in a pipelined
+/// script of `load_program` → `query_edge` pairs no query overtakes the
+/// load before it. Each load parses and solves K9Mail, long enough that
+/// a second worker would start the query first and answer `not-loaded`.
+#[test]
+fn pipelined_loads_and_queries_answer_in_order() {
+    let app = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus/k9mail.tir");
+    let path = Value::str(app.to_str().unwrap());
+    let daemon = Daemon::new(ServeConfig::default());
+    let mut script = Vec::new();
+    for i in 0..20u64 {
+        let name = Value::str(format!("k9-{i}"));
+        script.push(request(
+            2 * i + 1,
+            "load_program",
+            &[("name", name.clone()), ("path", path.clone())],
+        ));
+        script.push(request(
+            2 * i + 2,
+            "query_edge",
+            &[
+                ("program", name),
+                ("global", Value::str("K9.sHolderCompose")),
+                ("loc", Value::str("MessageCompose_inst")),
+            ],
+        ));
+    }
+    let (lines, summary) = daemon.run_script(&script.join("\n"));
+    let ids: Vec<u64> = lines
+        .iter()
+        .map(|l| {
+            let v = obs::json::parse(l).unwrap();
+            assert!(v.get("ok").is_some(), "not ok: {l}");
+            v.get("id").and_then(Value::as_u64).unwrap()
+        })
+        .collect();
+    assert_eq!(ids, (1..=40).collect::<Vec<u64>>(), "responses out of arrival order");
+    assert_eq!(summary.completed, 40);
+}
+
 /// With a recorder installed (as in `thresher-serve`), a second `analyze`
 /// of an unchanged corpus app takes every decision from the store at the
 /// daemon's default byte cap: each record carries its captured metrics as
@@ -444,11 +479,8 @@ fn reanalyze_at_default_store_cap_hits_every_decision() {
 
     let cache = tmp("reanalyze");
     let app = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus/opensudoku.tir");
-    let daemon = Daemon::new(ServeConfig {
-        workers: 1,
-        cache_root: Some(cache.clone()),
-        ..ServeConfig::default()
-    });
+    let daemon =
+        Daemon::new(ServeConfig { cache_root: Some(cache.clone()), ..ServeConfig::default() });
     let analyze = |id: u64| request(id, "analyze", &[("program", Value::str("sudoku"))]);
     let script = [
         request(
@@ -526,7 +558,7 @@ fn analyze_null_req(id: u64, program: &str, extra: &[(&str, Value)]) -> String {
 /// the panic) is untouched afterwards.
 #[test]
 fn null_client_analyze_isolates_faults_from_escape_state() {
-    let daemon = Daemon::new(ServeConfig { workers: 1, inject: true, ..ServeConfig::default() });
+    let daemon = Daemon::new(ServeConfig { inject: true, ..ServeConfig::default() });
     let script = [
         load_req(1, "boxy"),
         load_src_req(2, "nully", NULLY),
@@ -558,7 +590,7 @@ fn null_client_analyze_isolates_faults_from_escape_state() {
 /// stdio.
 #[test]
 fn null_client_analyze_over_tcp_matches_stdio() {
-    let stdio_daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let stdio_daemon = Daemon::new(ServeConfig::default());
     let script = [load_src_req(1, "nully", NULLY), analyze_null_req(2, "nully", &[])].join("\n");
     let (stdio_lines, summary) = stdio_daemon.run_script(&script);
     assert_eq!(summary.completed, 2);
@@ -567,7 +599,7 @@ fn null_client_analyze_over_tcp_matches_stdio() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let daemon = Arc::new(Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() }));
+    let daemon = Arc::new(Daemon::new(ServeConfig::default()));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     daemon.start_listener(listener).expect("start listener");
@@ -629,11 +661,10 @@ fn wait_with_timeout(child: &mut Child, what: &str) -> i32 {
 }
 
 /// EOF on stdin drains queued work and exits 0, with every admitted
-/// request answered. One worker keeps the query behind the load; with
-/// two, the query can run first and find no program.
+/// request answered.
 #[test]
 fn eof_drains_and_exits_zero() {
-    let mut child = spawn_serve(&["--workers", "1"]);
+    let mut child = spawn_serve(&[]);
     {
         let stdin = child.stdin.as_mut().unwrap();
         writeln!(stdin, "{}", load_req(1, "boxy")).unwrap();
@@ -687,7 +718,7 @@ fn sigkill_leaves_store_next_daemon_self_heals() {
     let tir_path = tir_dir.join("boxy.tir");
     fs::write(&tir_path, PROGRAM).expect("write program");
 
-    let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap(), "--workers", "1"]);
+    let mut child = spawn_serve(&["--cache-dir", cache.to_str().unwrap()]);
     let mut first_answer = String::new();
     {
         let stdin = child.stdin.as_mut().unwrap();
@@ -735,11 +766,8 @@ fn sigkill_leaves_store_next_daemon_self_heals() {
 
     // The next daemon steals the stale lock, skips the torn tail, and
     // answers identically.
-    let daemon = Daemon::new(ServeConfig {
-        workers: 1,
-        cache_root: Some(cache.clone()),
-        ..ServeConfig::default()
-    });
+    let daemon =
+        Daemon::new(ServeConfig { cache_root: Some(cache.clone()), ..ServeConfig::default() });
     let script = [
         request(
             1,
@@ -768,7 +796,7 @@ fn tcp_listener_serves_and_drains() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    let daemon = Arc::new(Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() }));
+    let daemon = Arc::new(Daemon::new(ServeConfig::default()));
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap();
     daemon.start_listener(listener).expect("start listener");

@@ -11,8 +11,7 @@
 //!   back, and the file self-truncates under its byte cap;
 //! - shed responses carry a `queue_wait_ms` hint next to `retry_after_ms`
 //!   once the daemon has seen queue traffic;
-//! - `health` exposes store sizes, uptime, and the in-flight high-water
-//!   mark;
+//! - `health` exposes store sizes and uptime;
 //! - the `--metrics-addr` HTTP listener serves a parseable exposition.
 //!
 //! Tests that install the process-global recorder serialize on
@@ -125,8 +124,9 @@ fn expo_counter(samples: &[prom::Sample], name: &str) -> u64 {
 /// delta-derived counts across all responses reproduces the daemon's own
 /// telemetry registry exactly — the reconciliation invariant: the
 /// exposition inside the final `metrics` response covers precisely the
-/// requests completed before it (everything, with one worker and `metrics`
-/// last), and `requests_admitted` additionally includes the `metrics`
+/// requests completed before it (everything, since the queue runs in
+/// order and `metrics` is last), and `requests_admitted` additionally
+/// includes the `metrics`
 /// request itself because admission is tallied before the queue push.
 #[test]
 fn cost_blocks_reconcile_with_exposition() {
@@ -134,7 +134,7 @@ fn cost_blocks_reconcile_with_exposition() {
     let rec = recorder();
     rec.reset();
 
-    let daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let daemon = Daemon::new(ServeConfig::default());
     let script = [
         load_req(1, "boxy"),
         query_req(2, "boxy", "str0"),
@@ -154,6 +154,7 @@ fn cost_blocks_reconcile_with_exposition() {
             "wall_us",
             "queue_wait_ms",
             "path_programs",
+            "cache_fresh_path_programs",
             "solver_calls",
             "solver_ns",
             "cache_hits",
@@ -171,10 +172,10 @@ fn cost_blocks_reconcile_with_exposition() {
         }
     }
     // Analysis phases land where expected: parse+pta on the load, symex on
-    // a query; queries carry their fair budget share.
+    // a query; queries carry the budget they ran with.
     let load_phases = cost_of(&lines, 1).get("phases").unwrap().clone();
     assert!(load_phases.get("parse_us").and_then(Value::as_u64).is_some());
-    assert!(cost_of(&lines, 2).get("budget").and_then(Value::as_u64).is_some());
+    assert_eq!(cost_of(&lines, 2).get("budget").and_then(Value::as_u64), Some(10_000));
     assert!(cost_u64(&cost_of(&lines, 2), "path_programs") > 0);
     assert!(cost_u64(&cost_of(&lines, 2), "solver_calls") > 0);
 
@@ -187,6 +188,7 @@ fn cost_blocks_reconcile_with_exposition() {
     let samples = prom::parse(&text).expect("exposition parses");
     for name in [
         "path_programs",
+        "cache_fresh_path_programs",
         "solver_calls",
         "cache_hits",
         "cache_misses",
@@ -235,7 +237,7 @@ fn cost_counts_are_jobs_invariant() {
     };
 
     let run = |jobs: usize| {
-        let daemon = Daemon::new(ServeConfig { workers: 1, jobs, ..ServeConfig::default() });
+        let daemon = Daemon::new(ServeConfig { jobs, ..ServeConfig::default() });
         let script =
             [load_req(1, "boxy"), query_req(2, "boxy", "str0"), query_req(3, "boxy", "secret0")]
                 .join("\n");
@@ -259,7 +261,6 @@ fn slow_log_captures_spans_and_truncates() {
     let log_path = dir.join("slow.jsonl");
     const CAP: u64 = 4096;
     let daemon = Daemon::new(ServeConfig {
-        workers: 1,
         slow_log: Some(log_path.clone()),
         slow_threshold: Duration::ZERO,
         slow_log_bytes_cap: CAP,
@@ -358,7 +359,6 @@ fn shed_responses_carry_queue_wait_hint() {
     let (in_tx, in_rx) = mpsc::channel::<Option<Vec<u8>>>();
     let (out_tx, out_rx) = mpsc::channel::<String>();
     let daemon = std::sync::Arc::new(Daemon::new(ServeConfig {
-        workers: 1,
         // Two requests pass the bucket, the third is rate-limited.
         rate_per_sec: 0.0,
         burst: 2.0,
@@ -397,16 +397,13 @@ fn shed_responses_carry_queue_wait_hint() {
     );
 }
 
-/// `health` exposes per-store byte sizes, uptime, and the in-flight
-/// high-water mark alongside the original residency fields.
+/// `health` exposes per-store byte sizes and uptime alongside the
+/// original residency fields.
 #[test]
-fn health_reports_stores_uptime_and_peak() {
+fn health_reports_stores_and_uptime() {
     let cache = tmp("health");
-    let daemon = Daemon::new(ServeConfig {
-        workers: 1,
-        cache_root: Some(cache.clone()),
-        ..ServeConfig::default()
-    });
+    let daemon =
+        Daemon::new(ServeConfig { cache_root: Some(cache.clone()), ..ServeConfig::default() });
     // `health` answers inline on the transport thread; a gated read is not
     // needed because run_script only returns after the drain, and we only
     // assert on the final in-script health snapshot being well-formed.
@@ -416,17 +413,13 @@ fn health_reports_stores_uptime_and_peak() {
     assert_eq!(summary.completed, 2, "run failed: {lines:#?}");
 
     let health = ok_body(&lines, 3);
-    for field in
-        ["programs", "stores", "store_bytes", "queue_depth", "active", "peak_active", "uptime_ms"]
-    {
+    for field in ["programs", "stores", "store_bytes", "queue_depth", "active", "uptime_ms"] {
         assert!(health.get(field).is_some(), "health lacks {field}: {}", health.to_json());
     }
     assert!(health.get("uptime_s").and_then(Value::as_u64).is_some());
     assert!(matches!(health.get("draining"), Some(Value::Bool(false))));
-    // Two requests ran through one worker: the high-water mark is exactly 1
-    // by drain time; health may have answered before the first pop, so the
-    // in-script snapshot only bounds it.
-    assert!(health.get("peak_active").and_then(Value::as_u64).unwrap_or(99) <= 1);
+    // One worker runs the queue, so `active` is at most 1.
+    assert!(health.get("active").and_then(Value::as_u64).unwrap_or(99) <= 1);
     let _ = std::fs::remove_dir_all(&cache);
 }
 
@@ -434,7 +427,7 @@ fn health_reports_stores_uptime_and_peak() {
 /// parseable exposition and closes the connection.
 #[test]
 fn metrics_http_listener_serves_exposition() {
-    let daemon = Daemon::new(ServeConfig { workers: 1, ..ServeConfig::default() });
+    let daemon = Daemon::new(ServeConfig::default());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("local addr");
     daemon.start_metrics_listener(listener).expect("start metrics listener");
