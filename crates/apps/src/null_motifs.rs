@@ -40,8 +40,8 @@ pub enum NullMotif {
         read_at: usize,
     },
     /// A dereference fed through a two-level static call chain (the
-    /// deepest value flow the engine's paper-default `max_call_depth`
-    /// of 3 resolves without soundly havocking the return), under which
+    /// deepest value flow the engine's call-depth bound of 3 (the
+    /// paper's) resolves without soundly havocking the return), under which
     /// hangs a `depth`-long chain of side-effect-local "noise" calls.
     /// The noise never touches the query — the frame rule skips it —
     /// but every noise function lands in the decision's call-graph

@@ -6,11 +6,6 @@
 //!
 //! options:
 //!   --dump-pta                 print the flow-insensitive points-to graph
-//!   --edit-script <FILE>       apply an NDJSON edit script through the
-//!                              incremental delta solver (one batch per
-//!                              line; each checked against the full-set
-//!                              reference solve), then analyze the
-//!                              edited program
 //!   --query <GLOBAL> <LOC>     refined reachability from a global to an
 //!                              abstract location (repeatable)
 //!   --leaks                    run the Android Activity-leak client
@@ -54,21 +49,19 @@
 //! with findings (a reachable query or surviving leak), 2 = completed
 //! without findings but with aborted (deadline/budget) searches, 64 =
 //! usage error, 65 = parse error, 66 = unreadable input, 74 = output or
-//! cache I/O error.
+//! cache I/O error (a closed or failing standard output included).
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use thresher::exit;
 use thresher::obs::json::{self, Value};
 use thresher::obs::{self, Counter, MemRecorder, RingCapacity, SpanKind};
-use thresher::{
-    CacheMode, LoopMode, PtaOptions, ReachabilityAnswer, Representation, SymexConfig, Thresher,
-};
+use thresher::{CacheMode, LoopMode, ReachabilityAnswer, Representation, SymexConfig, Thresher};
 
 struct Options {
     path: String,
-    edit_script: Option<String>,
     dump_pta: bool,
     queries: Vec<(String, String)>,
     leaks: bool,
@@ -90,7 +83,6 @@ enum Mode {
 fn parse_args() -> Result<Mode, String> {
     let mut args = std::env::args().skip(1).peekable();
     let mut path = None;
-    let mut edit_script = None;
     let mut dump_pta = false;
     let mut queries = Vec::new();
     let mut leaks = false;
@@ -110,9 +102,6 @@ fn parse_args() -> Result<Mode, String> {
                 return Ok(Mode::DiffReports(a, b));
             }
             "--dump-pta" => dump_pta = true,
-            "--edit-script" => {
-                edit_script = Some(args.next().ok_or("--edit-script needs a path")?);
-            }
             "--leaks" => leaks = true,
             "--client" => match args.next().as_deref() {
                 Some("null") => client_null = true,
@@ -169,7 +158,6 @@ fn parse_args() -> Result<Mode, String> {
     }
     Ok(Mode::Analyze(Box::new(Options {
         path: path.ok_or("usage: thresher-cli <program.tir> [options]")?,
-        edit_script,
         dump_pta,
         queries,
         leaks,
@@ -185,16 +173,23 @@ fn parse_args() -> Result<Mode, String> {
 }
 
 fn main() -> ExitCode {
+    // Every report line goes through this one writer: a closed or failing
+    // standard output ends the run with exit 74 instead of a panic.
+    let mut out = io::stdout().lock();
     let opts = match parse_args() {
         Ok(Mode::Analyze(o)) => *o,
         Ok(Mode::DiffReports(a, b)) => {
-            return match diff_reports(&a, &b) {
-                Ok(true) => ExitCode::SUCCESS,
-                Ok(false) => ExitCode::from(1),
+            let diffs = match diff_reports(&a, &b) {
+                Ok(d) => d,
                 Err(e) => {
                     eprintln!("error: {e}");
-                    ExitCode::from(exit::NOINPUT)
+                    return ExitCode::from(exit::NOINPUT);
                 }
+            };
+            return match print_diffs(&mut out, &a, &b, &diffs) {
+                Ok(()) if diffs.is_empty() => ExitCode::SUCCESS,
+                Ok(()) => ExitCode::from(1),
+                Err(e) => stdout_failed(&e),
             };
         }
         Err(e) => {
@@ -218,92 +213,49 @@ fn main() -> ExitCode {
             return ExitCode::from(exit::NOINPUT);
         }
     };
-    let mut program = match tir::parse(&src) {
+    let program = match tir::parse(&src) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("{}: parse error: {e}", opts.path);
             return ExitCode::from(exit::DATAERR);
         }
     };
-    if let Some(script) = &opts.edit_script {
-        if let Err(e) = run_edit_script(&mut program, script) {
-            eprintln!("error: {e}");
-            return ExitCode::from(exit::DATAERR);
-        }
-    }
 
     let code = {
         let _run = obs::span_with(SpanKind::Run, || opts.path.clone());
-        analyze(&opts, &program)
+        analyze(&opts, &program, &mut out)
+    };
+    let code = match code {
+        Ok(c) => c,
+        Err(e) => return stdout_failed(&e),
     };
 
     if let Some(rec) = recorder {
         if opts.pta_stats {
-            print_pta_stats(rec);
+            if let Err(e) = print_pta_stats(&mut out, rec) {
+                return stdout_failed(&e);
+            }
         }
         if let Err(e) = write_outputs(&opts, rec) {
             eprintln!("error: {e}");
             return ExitCode::from(exit::IOERR);
         }
     }
+    if let Err(e) = out.flush() {
+        return stdout_failed(&e);
+    }
     code
 }
 
-/// Applies an NDJSON edit script through the incremental delta solver:
-/// each line is one batch — a JSON array of `{op, ...}` objects (or a
-/// single object). Per-batch cost is printed, the incremental state is
-/// checked against a from-scratch reference solve after every batch, and
-/// `program` ends up as the fully edited version the rest of the run
-/// analyzes.
-fn run_edit_script(program: &mut tir::Program, path: &str) -> Result<(), String> {
-    use thresher::serve::protocol::edit_op_from_value;
-
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let policy = thresher::PointsToPolicy::Insensitive;
-    let mut inc = pta::IncrementalPta::new(program, policy.clone(), &PtaOptions::default());
-    println!("== edit script {path} ==");
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let ops: Vec<tir::EditOp> = match &v {
-            Value::Arr(items) => items
-                .iter()
-                .map(edit_op_from_value)
-                .collect::<Result<_, _>>()
-                .map_err(|e| format!("{path}:{}: {e}", lineno + 1))?,
-            _ => vec![edit_op_from_value(&v).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?],
-        };
-        let applied =
-            tir::apply_edits(program, &ops).map_err(|e| format!("{path}:{}: {e}", lineno + 1))?;
-        let stats = inc.apply_edits(program, &applied);
-        println!(
-            "  batch {}: ops={} propagations={} rebuilt={} dirty_nodes={} changed_methods={}",
-            lineno + 1,
-            applied.len(),
-            stats.propagations,
-            stats.rebuilt,
-            stats.dirty_nodes,
-            stats.changed_methods.len(),
-        );
-        let reference = pta::analyze_reference(program, policy.clone(), &PtaOptions::default());
-        if pta::canonical_text(program, &inc.result(program))
-            != pta::canonical_text(program, &reference)
-        {
-            return Err(format!(
-                "{path}:{}: incremental state diverged from a from-scratch solve",
-                lineno + 1
-            ));
-        }
-    }
-    Ok(())
+/// Standard output failed (a reader that closed the pipe, a full disk).
+fn stdout_failed(e: &io::Error) -> ExitCode {
+    eprintln!("error: cannot write to standard output: {e}");
+    ExitCode::from(exit::IOERR)
 }
 
 /// Prints the points-to solver counters accumulated in the obs registry.
-fn print_pta_stats(rec: &MemRecorder) {
-    println!("== pta stats ==");
+fn print_pta_stats(out: &mut impl Write, rec: &MemRecorder) -> io::Result<()> {
+    writeln!(out, "== pta stats ==")?;
     for (label, counter) in [
         ("nodes", Counter::PtaNodes),
         ("method instances", Counter::PtaInstances),
@@ -311,13 +263,15 @@ fn print_pta_stats(rec: &MemRecorder) {
         ("deltas pushed", Counter::PtaDeltasPushed),
         ("sccs collapsed", Counter::PtaSccsCollapsed),
     ] {
-        println!("  {label}: {}", rec.counter(counter));
+        writeln!(out, "  {label}: {}", rec.counter(counter))?;
     }
+    Ok(())
 }
 
 /// The whole analysis, separated out so the `Run` span closes (and is
-/// recorded) before the trace/report files are written.
-fn analyze(opts: &Options, program: &tir::Program) -> ExitCode {
+/// recorded) before the trace/report files are written. Returns the exit
+/// code, or the error that writing to `out` hit.
+fn analyze(opts: &Options, program: &tir::Program, out: &mut impl Write) -> io::Result<ExitCode> {
     let mut thresher =
         Thresher::with_setup(program, thresher::PointsToPolicy::Insensitive, opts.config.clone())
             .with_jobs(opts.jobs);
@@ -326,65 +280,66 @@ fn analyze(opts: &Options, program: &tir::Program) -> ExitCode {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("error: cannot open cache {dir}: {e}");
-                return ExitCode::from(exit::IOERR);
+                return Ok(ExitCode::from(exit::IOERR));
             }
         };
     }
 
     if opts.dump_pta {
-        println!("== points-to graph ==");
-        print!("{}", thresher.points_to().dump(program));
+        writeln!(out, "== points-to graph ==")?;
+        write!(out, "{}", thresher.points_to().dump(program))?;
     }
 
     let mut outcome = exit::Outcome::new();
     for (g, l) in &opts.queries {
         let Some(global) = program.global_by_name(g) else {
             eprintln!("error: no global named {g}");
-            return ExitCode::from(exit::USAGE);
+            return Ok(ExitCode::from(exit::USAGE));
         };
         let Some(target) = thresher.resolve_loc(l) else {
             eprintln!("error: no abstract location named {l}");
-            return ExitCode::from(exit::USAGE);
+            return Ok(ExitCode::from(exit::USAGE));
         };
         let (answer, tally) = thresher.query_reachable_loc_tally(global, target);
         outcome.record_aborts(tally.edge_timeouts > 0);
         match answer {
             ReachabilityAnswer::Reachable { path, .. } => {
                 outcome.record_findings(true);
-                println!("{g} ~> {l}: REACHABLE");
+                writeln!(out, "{g} ~> {l}: REACHABLE")?;
                 for e in &path {
-                    println!("    {}", e.describe(program, thresher.points_to()));
+                    writeln!(out, "    {}", e.describe(program, thresher.points_to()))?;
                 }
             }
             ReachabilityAnswer::Refuted { refuted_edges } => {
-                println!("{g} ~> {l}: REFUTED ({} edge(s) severed)", refuted_edges.len());
+                writeln!(out, "{g} ~> {l}: REFUTED ({} edge(s) severed)", refuted_edges.len())?;
             }
         }
     }
 
     if opts.client_null {
         let report = thresher.check_null_derefs();
-        print!("{}", report.describe(program));
+        write!(out, "{}", report.describe(program))?;
         outcome.record_findings(!report.is_null_safe());
         outcome.record_aborts(report.edge_timeouts > 0);
     }
 
     if opts.leaks {
         let report = thresher.check_activity_leaks();
-        println!(
+        writeln!(
+            out,
             "== activity leaks: {} alarm(s), {} refuted ==",
             report.num_alarms(),
             report.num_refuted()
-        );
+        )?;
         for (alarm, result) in &report.alarms {
             let verdict = if result.is_refuted() { "filtered" } else { "LEAK" };
-            println!("  {verdict}: {}", program.global(alarm.field).name);
+            writeln!(out, "  {verdict}: {}", program.global(alarm.field).name)?;
             outcome.record_findings(!result.is_refuted());
         }
         outcome.record_aborts(report.stats.edge_timeouts > 0);
     }
 
-    ExitCode::from(outcome.code())
+    Ok(ExitCode::from(outcome.code()))
 }
 
 fn write_outputs(opts: &Options, rec: &MemRecorder) -> Result<(), String> {
@@ -415,19 +370,17 @@ fn write_outputs(opts: &Options, rec: &MemRecorder) -> Result<(), String> {
 /// and `cache_*` counters (cold/warm cache effectiveness, never results —
 /// the incremental gate compares cold and warm reports directly).
 /// Everything else — every counter and every deterministic histogram — must
-/// match exactly. Prints each difference; returns `Ok(true)` when
-/// equivalent.
-fn diff_reports(path_a: &str, path_b: &str) -> Result<bool, String> {
+/// match exactly. Returns one line per difference (none when equivalent).
+fn diff_reports(path_a: &str, path_b: &str) -> Result<Vec<String>, String> {
     let load = |path: &str| -> Result<Value, String> {
         let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         json::parse(&src).map_err(|e| format!("{path}: bad JSON: {e:?}"))
     };
     let a = load(path_a)?;
     let b = load(path_b)?;
-    let mut same = true;
+    let mut diffs = Vec::new();
     let mut differ = |what: &str, va: String, vb: String| {
-        println!("differs: {what}: {va} ({path_a}) vs {vb} ({path_b})");
-        same = false;
+        diffs.push(format!("differs: {what}: {va} ({path_a}) vs {vb} ({path_b})"));
     };
 
     let schema_of = |v: &Value| v.get("schema").and_then(Value::as_str).unwrap_or("?").to_owned();
@@ -486,8 +439,21 @@ fn diff_reports(path_a: &str, path_b: &str) -> Result<bool, String> {
         }
     }
 
-    if same {
-        println!("reports are equivalent (modulo timing): {path_a} == {path_b}");
+    Ok(diffs)
+}
+
+/// Prints [`diff_reports`]' differences, or the equivalence line.
+fn print_diffs(
+    out: &mut impl Write,
+    path_a: &str,
+    path_b: &str,
+    diffs: &[String],
+) -> io::Result<()> {
+    for d in diffs {
+        writeln!(out, "{d}")?;
     }
-    Ok(same)
+    if diffs.is_empty() {
+        writeln!(out, "reports are equivalent (modulo timing): {path_a} == {path_b}")?;
+    }
+    out.flush()
 }

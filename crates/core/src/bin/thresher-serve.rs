@@ -29,8 +29,6 @@
 //!   --metrics-addr <addr:port> serve Prometheus text exposition
 //!                              (counters, gauges, histogram buckets,
 //!                              sliding-window quantiles) over HTTP GET
-//!   --window <N>               sliding-window size for latency/queue
-//!                              quantiles (default 512 samples)
 //!   --slow-log <path>          append span tree + cost block of slow
 //!                              requests to a bounded JSONL file
 //!   --slow-threshold-ms <N>    requests at or above this wall time go to
@@ -99,7 +97,6 @@ fn parse_args() -> Result<Options, String> {
             "--metrics-addr" => {
                 metrics_addr = Some(args.next().ok_or("--metrics-addr needs <addr:port>")?);
             }
-            "--window" => config.window = next_num(&mut args, "--window")?.max(1) as usize,
             "--slow-log" => {
                 config.slow_log = Some(args.next().ok_or("--slow-log needs a path")?.into());
             }

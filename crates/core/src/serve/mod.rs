@@ -103,9 +103,6 @@ pub struct ServeConfig {
     pub cache_bytes_cap: u64,
     /// Honor the `"inject"` request parameter (see [`faults`]).
     pub inject: bool,
-    /// Sliding-window capacity for the per-method latency and queue
-    /// rings behind the `metrics` method.
-    pub window: usize,
     /// Slow-request JSONL log path; `None` disables slow-request
     /// forensics.
     pub slow_log: Option<PathBuf>,
@@ -128,7 +125,6 @@ impl Default for ServeConfig {
             cache_root: None,
             cache_bytes_cap: 4 * 1024 * 1024,
             inject: false,
-            window: 512,
             slow_log: None,
             slow_threshold: Duration::from_secs(1),
             slow_log_bytes_cap: 1024 * 1024,
@@ -234,7 +230,7 @@ impl Daemon {
     pub fn new(config: ServeConfig) -> Self {
         let slow =
             config.slow_log.clone().map(|path| SlowLog::new(path, config.slow_log_bytes_cap));
-        let telemetry = Telemetry::new(config.window, slow);
+        let telemetry = Telemetry::new(slow);
         Daemon {
             shared: Arc::new(Shared {
                 config,
@@ -862,9 +858,9 @@ impl Shared {
     /// Applies an edit batch to a resident program through the delta
     /// solver: the program is re-parsed *nowhere* — the batch mutates the
     /// resident TIR in place (transactionally), the incremental solver
-    /// incorporates exactly the delta, mod/ref re-scans only the changed
-    /// methods, and the fingerprint cache is refreshed so surviving
-    /// refutations keep warm-hitting the decision store.
+    /// incorporates exactly the delta, mod/ref is computed afresh, and the
+    /// fingerprint cache is refreshed so surviving refutations keep
+    /// warm-hitting the decision store.
     fn do_edit(&self, req: &Request, phases: &mut Phases) -> Result<Value, ServeError> {
         let name = param_str(req, "program")?;
         let res = self.resident(name)?;
@@ -896,8 +892,7 @@ impl Shared {
         let stats = phases.time("edit", || inc.apply_edits(&program, &applied));
         let (pta, modref, hashes) = phases.time("pta", || {
             let pta = inc.result(&program);
-            let mut modref = res.modref.clone();
-            modref.recompute(&program, &pta, &stats.changed_methods);
+            let modref = ModRef::compute(&program, &pta);
             // Refresh the fingerprint hash cache against the new state so
             // later requests attach the store without re-hashing anything.
             let mut hashes = std::mem::take(&mut *res.hashes.lock().unwrap());

@@ -214,8 +214,7 @@ pub fn parse_request(line: &str, default_client: &str) -> Result<Request, ServeE
 /// mirrors the enum: `add_stmt`/`replace_stmt` need `method`, `at`,
 /// `text`; `remove_stmt` needs `method`, `at`; `add_method` needs `text`
 /// (plus `class` for instance methods); `remove_method` needs `method`.
-/// Shared by the daemon's `edit` method and the CLI's `--edit-script`.
-pub fn edit_op_from_value(v: &Value) -> Result<tir::EditOp, String> {
+pub(crate) fn edit_op_from_value(v: &Value) -> Result<tir::EditOp, String> {
     let field = |key: &str| {
         v.get(key)
             .and_then(Value::as_str)

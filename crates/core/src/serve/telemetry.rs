@@ -34,6 +34,10 @@ use std::time::Instant;
 use obs::json::Value;
 use obs::{Counter, Hist, MetricsDelta, Registry, SlidingWindow};
 
+/// Samples kept by each sliding window (per-method latency, queue wait,
+/// queue depth) behind the `metrics` quantiles.
+const WINDOW: usize = 512;
+
 /// Live aggregation state shared by the worker and every transport thread.
 pub(super) struct Telemetry {
     /// Daemon-lifetime counters/histograms, independent of the global
@@ -45,20 +49,17 @@ pub(super) struct Telemetry {
     pub(super) queue_wait: Mutex<SlidingWindow>,
     /// Queue-depth ring, sampled at each admission.
     pub(super) queue_depth: Mutex<SlidingWindow>,
-    /// Ring capacity for new per-method windows.
-    window: usize,
     /// Slow-request log, when configured.
     pub(super) slow: Option<SlowLog>,
 }
 
 impl Telemetry {
-    pub(super) fn new(window: usize, slow: Option<SlowLog>) -> Self {
+    pub(super) fn new(slow: Option<SlowLog>) -> Self {
         Telemetry {
             registry: Registry::new(),
             latency: Mutex::new(BTreeMap::new()),
-            queue_wait: Mutex::new(SlidingWindow::new(window)),
-            queue_depth: Mutex::new(SlidingWindow::new(window)),
-            window,
+            queue_wait: Mutex::new(SlidingWindow::new(WINDOW)),
+            queue_depth: Mutex::new(SlidingWindow::new(WINDOW)),
             slow,
         }
     }
@@ -68,7 +69,7 @@ impl Telemetry {
         let mut windows = self.latency.lock().unwrap();
         windows
             .entry(method.to_owned())
-            .or_insert_with(|| SlidingWindow::new(self.window))
+            .or_insert_with(|| SlidingWindow::new(WINDOW))
             .push(wall_us);
     }
 
@@ -373,7 +374,7 @@ mod tests {
 
     #[test]
     fn telemetry_windows_and_hints() {
-        let t = Telemetry::new(16, None);
+        let t = Telemetry::new(None);
         assert_eq!(t.queue_wait_hint_ms(), None);
         for _ in 0..10 {
             t.record_queue_wait(30_000);

@@ -4,8 +4,8 @@
 //! on worker threads, but only *commits* them — in the canonical sequential
 //! order — on the coordinator. To keep report totals byte-identical across
 //! thread counts, the metrics a speculative computation emits must not hit
-//! the global [`Recorder`](crate::Recorder) immediately: [`capture`] runs a
-//! closure with a thread-local buffer installed, collecting every
+//! the global recorder immediately: [`capture`] runs a closure with a
+//! thread-local buffer installed, collecting every
 //! [`add`](crate::add)/[`observe`](crate::observe) into a [`MetricsDelta`],
 //! and [`MetricsDelta::replay`] applies the batch to the global recorder at
 //! commit time. Trace events (spans, instants) are *not* buffered — they
@@ -102,7 +102,7 @@ impl MetricsDelta {
     /// like any other emission — exactly once — so a higher-level consumer
     /// (e.g. a per-request report in `thresher-serve`) sees everything the
     /// scheduler commits beneath it. With no capture active, the batch goes
-    /// to the installed recorder's [`merge`](crate::Recorder::merge).
+    /// to the installed recorder.
     pub fn replay(&self) {
         if !crate::enabled() {
             return;

@@ -9,7 +9,7 @@
 //!   (loadable in Perfetto or `chrome://tracing`);
 //! - **typed counters and log-scale histograms** ([`Counter`], [`Hist`])
 //!   aggregated into a versioned machine-readable [`RunReport`];
-//! - a pluggable [`Recorder`] trait with a no-op default, so every
+//! - one process-global [`MemRecorder`], absent by default, so every
 //!   instrumented hot path costs exactly one relaxed atomic load and one
 //!   branch — and performs **no allocation** — when no recorder is
 //!   installed.
@@ -17,12 +17,11 @@
 //! ## Design
 //!
 //! The recorder is process-global, like the `log` crate's logger: library
-//! crates emit events unconditionally and the binary decides whether (and
-//! how) to record them. [`install`] leaks the recorder to obtain a
-//! `'static` borrow, which keeps the hot-path read a single atomic pointer
+//! crates emit events unconditionally and the binary decides whether to
+//! record them. [`install`] takes a `'static` recorder and stores a plain
+//! pointer to it, which keeps the hot-path read a single atomic pointer
 //! load with no reference counting; [`uninstall`] merely flips the enabled
-//! flag (the few bytes per install are only ever paid by tests that cycle
-//! recorders).
+//! flag.
 //!
 //! Spans are recorded as *complete* events (start + duration) when the
 //! guard drops, so the ring buffer sees one entry per span and balance is
@@ -75,37 +74,13 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// The sink for everything the instrumentation emits. Implementations must
-/// be cheap and non-blocking: they run inline on analysis hot paths.
-pub trait Recorder: Send + Sync {
-    /// Adds `n` to counter `c`.
-    fn add(&self, c: Counter, n: u64);
-    /// Records one observation `v` into histogram `h`.
-    fn observe(&self, h: Hist, v: u64);
-    /// Applies a captured batch of counter totals and histogram state
-    /// ([`MetricsDelta::replay`]), as if its original calls were recorded
-    /// here.
-    fn merge(&self, delta: &MetricsDelta);
-    /// Records one completed span or instant event.
-    fn event(&self, ev: TraceEvent);
-    /// Whether spans of `kind` should be materialized at all. Returning
-    /// `false` skips label formatting for high-frequency kinds.
-    fn span_enabled(&self, kind: SpanKind) -> bool {
-        let _ = kind;
-        true
-    }
-}
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Thin pointer to a leaked fat `&'static dyn Recorder` (an `AtomicPtr`
-/// cannot hold the fat pointer directly).
-static RECORDER: AtomicPtr<&'static dyn Recorder> = AtomicPtr::new(ptr::null_mut());
+/// The installed recorder; only ever set from a `&'static MemRecorder`.
+static RECORDER: AtomicPtr<MemRecorder> = AtomicPtr::new(ptr::null_mut());
 
-/// Installs `recorder` as the process-global sink. The reference is stored
-/// by leaking one word per call; see the crate docs for why.
-pub fn install(recorder: &'static dyn Recorder) {
-    let cell: &'static mut &'static dyn Recorder = Box::leak(Box::new(recorder));
-    RECORDER.store(cell, Ordering::Release);
+/// Installs `recorder` as the process-global sink.
+pub fn install(recorder: &'static MemRecorder) {
+    RECORDER.store(ptr::from_ref(recorder).cast_mut(), Ordering::Release);
     ENABLED.store(true, Ordering::Release);
 }
 
@@ -124,18 +99,14 @@ pub fn enabled() -> bool {
 
 /// The installed recorder, if recording is enabled.
 #[inline]
-pub fn installed() -> Option<&'static dyn Recorder> {
+pub fn installed() -> Option<&'static MemRecorder> {
     if !enabled() {
         return None;
     }
-    let p = RECORDER.load(Ordering::Acquire);
-    if p.is_null() {
-        None
-    } else {
-        // SAFETY: `p` was produced by `Box::leak` in `install` and is never
-        // freed, so it is valid for the rest of the process lifetime.
-        Some(unsafe { *p })
-    }
+    // SAFETY: a non-null `RECORDER` was stored by `install` from a
+    // `&'static MemRecorder`, so it is valid for the rest of the process
+    // lifetime and is only ever read through shared references.
+    unsafe { RECORDER.load(Ordering::Acquire).as_ref() }
 }
 
 /// Adds `n` to counter `c` on the installed recorder, if any. Inside an

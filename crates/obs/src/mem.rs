@@ -1,8 +1,6 @@
 //! The in-memory recorder: a metric registry plus a bounded event ring.
 
-use crate::{
-    Counter, Hist, HistSnapshot, MetricsDelta, Recorder, Registry, RunReport, SpanKind, TraceEvent,
-};
+use crate::{Counter, Hist, HistSnapshot, MetricsDelta, Registry, RunReport, SpanKind, TraceEvent};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -18,7 +16,7 @@ impl Default for RingCapacity {
     }
 }
 
-/// The standard [`Recorder`]: metrics land in an atomic [`Registry`],
+/// The recorder: metrics land in an atomic [`Registry`],
 /// trace events in a bounded ring that keeps the *oldest* events (the run
 /// skeleton — outer spans complete last but start first, and dropping the
 /// newest keeps the drop set contiguous). Dropped events are counted so the
@@ -120,22 +118,26 @@ impl MemRecorder {
         ring.tids.clear();
         self.dropped.store(0, Ordering::Relaxed);
     }
-}
 
-impl Recorder for MemRecorder {
-    fn add(&self, c: Counter, n: u64) {
+    /// Adds `n` to counter `c`.
+    pub fn add(&self, c: Counter, n: u64) {
         self.registry.add(c, n);
     }
 
-    fn observe(&self, h: Hist, v: u64) {
+    /// Records one observation `v` into histogram `h`.
+    pub fn observe(&self, h: Hist, v: u64) {
         self.registry.observe(h, v);
     }
 
-    fn merge(&self, delta: &MetricsDelta) {
+    /// Applies a captured batch of counter totals and histogram state
+    /// ([`MetricsDelta::replay`]), as if its original calls were recorded
+    /// here.
+    pub(crate) fn merge(&self, delta: &MetricsDelta) {
         self.registry.merge(delta);
     }
 
-    fn event(&self, ev: TraceEvent) {
+    /// Records one completed span or instant event.
+    pub(crate) fn event(&self, ev: TraceEvent) {
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         ring.tids.insert(ev.tid);
         if ring.events.len() < ring.capacity {
@@ -146,7 +148,9 @@ impl Recorder for MemRecorder {
         }
     }
 
-    fn span_enabled(&self, kind: SpanKind) -> bool {
+    /// Whether spans of `kind` should be materialized at all; `false`
+    /// skips label formatting for high-frequency kinds.
+    pub(crate) fn span_enabled(&self, kind: SpanKind) -> bool {
         self.record_fine || !kind.is_fine_grained()
     }
 }
@@ -193,8 +197,8 @@ mod tests {
     #[test]
     fn metrics_flow_through_recorder() {
         let rec = MemRecorder::new(RingCapacity::default());
-        Recorder::add(&rec, Counter::SolverCalls, 3);
-        Recorder::observe(&rec, Hist::SolverNanos, 100);
+        rec.add(Counter::SolverCalls, 3);
+        rec.observe(Hist::SolverNanos, 100);
         assert_eq!(rec.counter(Counter::SolverCalls), 3);
         assert_eq!(rec.histogram(Hist::SolverNanos).count, 1);
     }

@@ -132,9 +132,6 @@ metric_enum! {
         PtaDeltasPushed => "pta_deltas_pushed",
         /// Copy-graph strongly connected components collapsed online.
         PtaSccsCollapsed => "pta_sccs_collapsed",
-        /// Incremental drain-log compactions (cap exceeded; dead and
-        /// duplicate entries dropped).
-        PtaDrainlogCompactions => "pta_drainlog_compactions",
         // --- persistent refutation cache ---
         /// Disk-cache decisions reused verbatim (committed by the
         /// coordinator from a valid, current-fingerprint record).

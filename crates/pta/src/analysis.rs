@@ -32,20 +32,18 @@ use tir::{
 };
 
 use crate::bitset::BitSet;
-use crate::context::ContextPolicy;
+use crate::context::{ContextPolicy, MAX_CONTEXT_DEPTH};
 use crate::loc::{AbsLoc, LocId, LocTable};
 use crate::result::{HeapEdge, PtaResult};
 
-/// A method-analysis context: the receiver's abstract location (object
-/// sensitivity), the call site (1-CFA), or nothing.
+/// A method-analysis context: the receiver's abstract location (container
+/// sensitivity) or nothing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub(crate) enum Ctx {
     /// Context-insensitive instance.
     None,
-    /// Keyed by receiver location (object/container sensitivity).
+    /// Keyed by receiver location (container sensitivity).
     Recv(LocId),
-    /// Keyed by call site (1-CFA).
-    Site(CmdId),
 }
 
 /// Interned (method, context) pair.
@@ -148,12 +146,6 @@ pub(crate) struct Solver {
     /// When set, every drained node id is appended here (the incremental
     /// solver reads it to find which methods' facts changed).
     pub(crate) drain_log: Option<Vec<NodeId>>,
-    /// Size of the drain log after its last compaction. The next
-    /// compaction fires only once the log doubles past this floor (or
-    /// exceeds `drain_log_cap`, whichever is larger), so a log whose
-    /// irreducible size exceeds the cap degrades to amortized O(1) per
-    /// push instead of O(n).
-    pub(crate) drain_log_floor: usize,
     /// Reusable per-pop buffers for the drain loop. Constraint lists must
     /// be read through a snapshot (`eval_*` may grow the originals
     /// mid-iteration), but cloning four `Vec`s per pop dominated the
@@ -191,7 +183,6 @@ impl Solver {
             suspended: HashSet::new(),
             propagations: 0,
             drain_log: None,
-            drain_log_floor: 0,
             scratch_succs: Vec::new(),
             scratch_fields: Vec::new(),
             scratch_calls: Vec::new(),
@@ -372,8 +363,6 @@ impl Solver {
     }
 
     /// The abstract location for an allocation executed in instance `inst`.
-    /// Only receiver contexts qualify the heap abstraction (1-CFA keeps
-    /// allocation-site locations).
     fn alloc_loc(&mut self, program: &Program, inst: InstId, alloc: AllocId) -> LocId {
         let ctx = self.alloc_qualifier(program, inst);
         self.locs.intern(AbsLoc { alloc, ctx })
@@ -554,14 +543,8 @@ impl Solver {
                         };
                         self.register_recv_call(program, recv, call);
                     } else {
-                        // Free function: per-site under 1-CFA, otherwise
-                        // context-insensitive.
-                        let ctx = if self.policy.call_site_sensitive() {
-                            Ctx::Site(cmd_id)
-                        } else {
-                            Ctx::None
-                        };
-                        let callee = self.instance(program, *method, ctx);
+                        // Free function: context-insensitive.
+                        let callee = self.instance(program, *method, Ctx::None);
                         self.bind_call(program, inst, cmd_id, callee, *method, None, *dst, args);
                     }
                 }
@@ -624,25 +607,15 @@ impl Solver {
             && self.options.empty_contents_allocs.contains(&self.locs.get(l).alloc)
     }
 
-    /// Context for a callee dispatched on receiver location `l` at call
-    /// site `cmd`.
-    pub(crate) fn callee_ctx(
-        &self,
-        program: &Program,
-        callee: MethodId,
-        l: LocId,
-        cmd: CmdId,
-    ) -> Ctx {
-        if self.policy.call_site_sensitive() {
-            return Ctx::Site(cmd);
-        }
+    /// Context for a callee dispatched on receiver location `l`.
+    pub(crate) fn callee_ctx(&self, program: &Program, callee: MethodId, l: LocId) -> Ctx {
         let Some(class) = program.method(callee).class else {
             return Ctx::None;
         };
         if !self.policy.qualifies(program, class) {
             return Ctx::None;
         }
-        if self.locs.depth(l) + 1 > self.policy.max_depth() {
+        if self.locs.depth(l) + 1 > MAX_CONTEXT_DEPTH {
             return Ctx::None;
         }
         Ctx::Recv(l)
@@ -707,7 +680,7 @@ impl Solver {
                 continue;
             };
             let call = self.calls[ci].clone();
-            let ctx = self.callee_ctx(program, target, lid, call.cmd);
+            let ctx = self.callee_ctx(program, target, lid);
             let callee_inst = self.instance(program, target, ctx);
             self.calls[ci].dispatched.push((l, callee_inst));
             self.bind_call(
@@ -790,10 +763,6 @@ impl Solver {
             self.propagations += 1;
             if let Some(log) = self.drain_log.as_mut() {
                 log.push(n);
-                let cap = self.options.drain_log_cap;
-                if cap != 0 && log.len() >= cap.max(self.drain_log_floor * 2) {
-                    self.compact_drain_log();
-                }
             }
             if obs::enabled() {
                 obs::add(obs::Counter::PtaPropagations, 1);
@@ -843,35 +812,6 @@ impl Solver {
             }
             self.scratch_calls = calls;
         }
-    }
-
-    /// Compacts the drain log in place: entries resolve to their current
-    /// union-find representative, duplicates collapse to one, and entries
-    /// whose owning `Var`/`Ret` instance is suspended are dropped (a
-    /// suspended owner's facts are invisible to the published result, and
-    /// reachability flips are charged to the changed set separately by the
-    /// incremental solver). Consumers only ever read the log as a
-    /// representative-resolved *set*, so this is semantics-preserving.
-    pub(crate) fn compact_drain_log(&mut self) {
-        let Some(log) = self.drain_log.take() else { return };
-        let mut seen: HashSet<usize> = HashSet::with_capacity(log.len());
-        let mut out: Vec<NodeId> = Vec::new();
-        for n in log {
-            let r = self.find_read(n.0 as usize);
-            if !seen.insert(r) {
-                continue;
-            }
-            let live = match self.nodes[r] {
-                NodeKind::Var(i, _) | NodeKind::Ret(i) => !self.suspended.contains(&i),
-                _ => true,
-            };
-            if live {
-                out.push(NodeId(r as u32));
-            }
-        }
-        obs::add(obs::Counter::PtaDrainlogCompactions, 1);
-        self.drain_log_floor = out.len();
-        self.drain_log = Some(out);
     }
 
     /// Lazy cycle detection, fired when propagating `n → s` added nothing:
@@ -1238,24 +1178,13 @@ pub(crate) enum SolverKind {
 }
 
 /// Extra inputs to the analysis.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PtaOptions {
     /// Allocation sites whose array `contents` are trusted to stay empty —
     /// the `EMPTY_TABLE` annotation of the paper's `Ann?=Y` configuration.
     /// Stores into (and hence loads out of) the `contents` field of these
     /// arrays are suppressed.
     pub empty_contents_allocs: Vec<tir::AllocId>,
-    /// Soft cap on the incremental drain log: once a batch's log reaches
-    /// this many entries it is compacted in place (entries resolved to
-    /// their representatives, duplicates and suspended-owner entries
-    /// dropped). 0 disables compaction.
-    pub drain_log_cap: usize,
-}
-
-impl Default for PtaOptions {
-    fn default() -> Self {
-        PtaOptions { empty_contents_allocs: Vec::new(), drain_log_cap: 4096 }
-    }
 }
 
 /// Runs the points-to analysis with annotations (see [`PtaOptions`]).
@@ -1270,9 +1199,8 @@ pub fn analyze_with(program: &Program, policy: ContextPolicy, options: &PtaOptio
 /// The differential-testing oracle: [`analyze_with`] run by the textbook
 /// full-set worklist engine instead of difference propagation. The result
 /// is the same [`PtaResult`], bit for bit (canonical location numbering);
-/// only the amount of work differs. The tests and `thresher-cli
-/// --edit-script` hold [`analyze_with`] and [`crate::IncrementalPta`] to
-/// it.
+/// only the amount of work differs. The tests hold [`analyze_with`] and
+/// [`crate::IncrementalPta`] to it.
 ///
 /// # Panics
 ///

@@ -1,14 +1,23 @@
 //! Context-sensitivity policies for the points-to analysis.
+//!
+//! Two policies exist: Andersen's context-insensitive analysis and the
+//! paper's container sensitivity. Receiver contexts nest at most
+//! `MAX_CONTEXT_DEPTH` (3) deep. Object sensitivity over every class is
+//! container sensitivity with every class listed as a container.
 
 use tir::{ClassId, Program};
+
+/// Maximum nesting depth of context-qualified locations: a method
+/// dispatched on a receiver already qualified this deep runs without a
+/// receiver context, which stops containers-of-containers recursion.
+pub(crate) const MAX_CONTEXT_DEPTH: usize = 3;
 
 /// How method analysis and heap abstraction are context-qualified.
 ///
 /// The paper's evaluation uses WALA's *0-1-Container-CFA*: Andersen's
-/// analysis with one level of object sensitivity applied (with unbounded
-/// nesting) to container classes. [`ContextPolicy::ContainerSensitive`]
-/// reproduces that shape; [`ContextPolicy::ObjectSensitive`] applies the
-/// same receiver-qualification to all classes.
+/// analysis with one level of object sensitivity applied to container
+/// classes. [`ContextPolicy::ContainerSensitive`] reproduces that shape,
+/// with receiver contexts nested at most three deep.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ContextPolicy {
     /// Classic context-insensitive Andersen's analysis.
@@ -20,20 +29,7 @@ pub enum ContextPolicy {
     ContainerSensitive {
         /// The container base classes.
         containers: Vec<ClassId>,
-        /// Maximum context-qualification nesting depth (guards against
-        /// containers-of-containers recursion).
-        max_depth: usize,
     },
-    /// Receiver-object sensitivity for every instance method.
-    ObjectSensitive {
-        /// Maximum context-qualification nesting depth.
-        max_depth: usize,
-    },
-    /// Classic 1-CFA: methods are analyzed once per call site (the heap
-    /// abstraction stays allocation-site based). Useful as a baseline
-    /// comparison — the paper notes the refutation engine "does not fix
-    /// the heap abstraction".
-    CallSiteSensitive,
 }
 
 impl ContextPolicy {
@@ -41,31 +37,16 @@ impl ContextPolicy {
     /// ignoring names not present in `program`.
     pub fn containers_named(program: &Program, names: &[&str]) -> ContextPolicy {
         let containers = names.iter().filter_map(|n| program.class_by_name(n)).collect();
-        ContextPolicy::ContainerSensitive { containers, max_depth: 3 }
+        ContextPolicy::ContainerSensitive { containers }
     }
 
     /// True if methods of `class` are analyzed per receiver location.
     pub fn qualifies(&self, program: &Program, class: ClassId) -> bool {
         match self {
-            ContextPolicy::Insensitive | ContextPolicy::CallSiteSensitive => false,
-            ContextPolicy::ContainerSensitive { containers, .. } => {
+            ContextPolicy::Insensitive => false,
+            ContextPolicy::ContainerSensitive { containers } => {
                 containers.iter().any(|&c| program.is_subclass(class, c))
             }
-            ContextPolicy::ObjectSensitive { .. } => true,
-        }
-    }
-
-    /// True if method instances are keyed by call site (1-CFA).
-    pub fn call_site_sensitive(&self) -> bool {
-        matches!(self, ContextPolicy::CallSiteSensitive)
-    }
-
-    /// Maximum context nesting depth (0 when insensitive).
-    pub fn max_depth(&self) -> usize {
-        match self {
-            ContextPolicy::Insensitive | ContextPolicy::CallSiteSensitive => 0,
-            ContextPolicy::ContainerSensitive { max_depth, .. }
-            | ContextPolicy::ObjectSensitive { max_depth } => *max_depth,
         }
     }
 }
@@ -87,7 +68,6 @@ mod tests {
         assert!(policy.qualifies(&p, vec));
         assert!(policy.qualifies(&p, stack));
         assert!(!policy.qualifies(&p, other));
-        assert_eq!(policy.max_depth(), 3);
     }
 
     #[test]
@@ -100,11 +80,14 @@ mod tests {
 
     #[test]
     fn object_sensitive_always_qualifies() {
+        // Object sensitivity is container sensitivity over every class.
         let mut b = ProgramBuilder::new();
         let c = b.class("C", None);
+        let d = b.class("D", Some(c));
         let p = b.finish();
-        let policy = ContextPolicy::ObjectSensitive { max_depth: 2 };
+        let names: Vec<&str> = p.class_ids().map(|k| p.class(k).name.as_str()).collect();
+        let policy = ContextPolicy::containers_named(&p, &names);
         assert!(policy.qualifies(&p, c));
-        assert_eq!(policy.max_depth(), 2);
+        assert!(policy.qualifies(&p, d));
     }
 }

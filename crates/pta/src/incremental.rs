@@ -111,7 +111,6 @@ impl IncrementalPta {
         let pre_suspended: HashSet<InstId> = self.solver.suspended.clone();
         let old_call_edges = self.solver.call_edges.clone();
         self.solver.drain_log = Some(Vec::new());
-        self.solver.drain_log_floor = 0;
 
         let needs_rebuild = applied.iter().any(|e| match e {
             AppliedEdit::AddedCmd { .. } | AppliedEdit::AddedVar { .. } => false,
@@ -425,10 +424,8 @@ impl IncrementalPta {
                     Callee::Static { method: callee_m }
                         if program.method(*callee_m).class.is_none() =>
                     {
-                        // Free function: one instance per (policy) context.
-                        let ctx =
-                            if s.policy.call_site_sensitive() { Ctx::Site(cmd) } else { Ctx::None };
-                        if let Some(&ci) = s.inst_index.get(&(*callee_m, ctx)) {
+                        // Free function: one context-insensitive instance.
+                        if let Some(&ci) = s.inst_index.get(&(*callee_m, Ctx::None)) {
                             for &p in &program.method(*callee_m).params {
                                 var_seed(seeds, ci, p);
                             }
@@ -571,12 +568,7 @@ impl IncrementalPta {
                 };
                 let recv_var = match callee {
                     Callee::Static { method: m2 } if program.method(*m2).class.is_none() => {
-                        let ctx = if s.policy.call_site_sensitive() {
-                            Ctx::Site(cmd_id)
-                        } else {
-                            Ctx::None
-                        };
-                        if let Some(&i2) = s.inst_index.get(&(*m2, ctx)) {
+                        if let Some(&i2) = s.inst_index.get(&(*m2, Ctx::None)) {
                             visit(i2, &mut live, &mut stack);
                         }
                         continue;
@@ -605,7 +597,7 @@ impl IncrementalPta {
                         }
                     };
                     let Some(t) = target else { continue };
-                    let ctx = s.callee_ctx(program, t, lid, cmd_id);
+                    let ctx = s.callee_ctx(program, t, lid);
                     if let Some(&i2) = s.inst_index.get(&(t, ctx)) {
                         visit(i2, &mut live, &mut stack);
                     }
@@ -676,19 +668,19 @@ mod tests {
     use crate::result::canonical_text;
     use tir::{apply_edits, EditOp};
 
-    fn policies() -> Vec<ContextPolicy> {
-        vec![
-            ContextPolicy::Insensitive,
-            ContextPolicy::ObjectSensitive { max_depth: 2 },
-            ContextPolicy::CallSiteSensitive,
-        ]
+    /// The insensitive policy and container sensitivity over every class
+    /// of `program` (receiver contexts for every instance method).
+    fn policies(program: &Program) -> Vec<ContextPolicy> {
+        let names: Vec<&str> =
+            program.class_ids().map(|c| program.class(c).name.as_str()).collect();
+        vec![ContextPolicy::Insensitive, ContextPolicy::containers_named(program, &names)]
     }
 
     /// Applies each edit batch in sequence and, after every batch, checks
     /// the incremental state byte-for-byte against a from-scratch solve by
     /// the reference engine — under every context policy.
     fn check_oracle(src: &str, batches: &[Vec<EditOp>]) {
-        for policy in policies() {
+        for policy in policies(&tir::parse(src).expect("test program parses")) {
             let mut program = tir::parse(src).expect("test program parses");
             let options = PtaOptions::default();
             let mut inc = IncrementalPta::new(&program, policy.clone(), &options);
@@ -760,7 +752,7 @@ entry main;
 
     #[test]
     fn add_statement_takes_fast_path() {
-        for policy in policies() {
+        for policy in policies(&tir::parse(BASE).unwrap()) {
             let mut program = tir::parse(BASE).unwrap();
             let mut inc = IncrementalPta::new(&program, policy, &PtaOptions::default());
             let applied =
@@ -928,40 +920,6 @@ entry main;
             stats.propagations,
             scratch
         );
-    }
-
-    #[test]
-    fn drain_log_cap_compacts_without_changing_answers() {
-        // A tiny cap forces mid-drain compactions; the edit solve must
-        // still match the reference byte for byte and still charge the
-        // edited method to the changed set (the log is only ever read as a
-        // representative-resolved set, so compaction is invisible).
-        let _serial = obs::test_lock();
-        let rec = obs::MemRecorder::install_static(obs::RingCapacity::default());
-        rec.reset();
-        let mut program = tir::parse(BASE).unwrap();
-        let options = PtaOptions { drain_log_cap: 2, ..PtaOptions::default() };
-        let mut inc = IncrementalPta::new(&program, ContextPolicy::Insensitive, &options);
-        // An added allocation flows o → set.v → a0.f → get.r → main.r:
-        // several drain pops, comfortably past the cap of 2.
-        let applied = apply_edits(&mut program, &[add("main", 2, "o = new Object @o1;")]).unwrap();
-        let stats = inc.apply_edits(&program, &applied);
-        assert!(
-            rec.counter(obs::Counter::PtaDrainlogCompactions) > 0,
-            "cap 2 never triggered a compaction"
-        );
-        let names: Vec<String> =
-            stats.changed_methods.iter().map(|&m| program.method_name(m)).collect();
-        assert!(names.iter().any(|n| n == "main"), "compacted log lost main: {names:?}");
-        assert_eq!(
-            canonical_text(&program, &inc.result(&program)),
-            canonical_text(
-                &program,
-                &analyze_reference(&program, ContextPolicy::Insensitive, &PtaOptions::default())
-            ),
-            "compaction changed the fixpoint"
-        );
-        obs::uninstall();
     }
 
     #[test]

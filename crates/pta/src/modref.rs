@@ -5,14 +5,10 @@
 //! callee beyond the call-stack bound is skipped (§4: "we soundly skipped
 //! callees by dropping constraints that executing the call might produce").
 //!
-//! Summaries split into two layers: *direct* effects (one linear scan of a
-//! method's own commands) and the *transitive* closure over the call graph.
-//! [`ModRef::recompute`] exploits the split after a program edit: only the
-//! direct effects of methods the incremental solver reports as changed are
-//! re-scanned, then the (cheap) closure re-runs. Direct `mod_cells` sets are
-//! keyed by the result's canonical location numbering, so retention is
-//! guarded by a numbering signature — an edit that changes the location set
-//! renumbers everything and falls back to a full direct pass.
+//! [`ModRef::compute`] scans every method's own commands once, then closes
+//! the summaries over the call graph. After a program edit the caller
+//! computes them afresh (DESIGN.md §17 has the measurement that retired a
+//! per-method incremental layer).
 
 use std::collections::HashMap;
 
@@ -21,9 +17,10 @@ use tir::{Command, FieldId, MethodId, Program};
 use crate::bitset::BitSet;
 use crate::result::PtaResult;
 
-/// One layer of per-method summaries (direct or transitive).
-#[derive(Clone, Debug, Default)]
-struct Effects {
+/// Per-method summaries of fields/globals that may be written or read,
+/// including transitive callees.
+#[derive(Clone, Debug)]
+pub struct ModRef {
     mod_fields: Vec<BitSet>,
     mod_globals: Vec<BitSet>,
     ref_fields: Vec<BitSet>,
@@ -35,78 +32,18 @@ struct Effects {
     allocates: Vec<bool>,
 }
 
-impl Effects {
-    fn with_len(n: usize) -> Effects {
-        Effects {
-            mod_fields: vec![BitSet::new(); n],
-            mod_globals: vec![BitSet::new(); n],
-            ref_fields: vec![BitSet::new(); n],
-            ref_globals: vec![BitSet::new(); n],
-            mod_cells: vec![HashMap::new(); n],
-            allocates: vec![false; n],
-        }
-    }
-
-    fn resize(&mut self, n: usize) {
-        self.mod_fields.resize(n, BitSet::new());
-        self.mod_globals.resize(n, BitSet::new());
-        self.ref_fields.resize(n, BitSet::new());
-        self.ref_globals.resize(n, BitSet::new());
-        self.mod_cells.resize(n, HashMap::new());
-        self.allocates.resize(n, false);
-    }
-
-    fn clear_method(&mut self, m: MethodId) {
-        self.mod_fields[m.index()] = BitSet::new();
-        self.mod_globals[m.index()] = BitSet::new();
-        self.ref_fields[m.index()] = BitSet::new();
-        self.ref_globals[m.index()] = BitSet::new();
-        self.mod_cells[m.index()] = HashMap::new();
-        self.allocates[m.index()] = false;
-    }
-}
-
-/// Per-method summaries of fields/globals that may be written or read,
-/// including transitive callees.
-#[derive(Clone, Debug)]
-pub struct ModRef {
-    /// Direct effects only — retained so edits re-scan just the changed
-    /// methods. The `mod_cells` sets are in the numbering of `loc_sig`.
-    direct: Effects,
-    /// Signature of the canonical location numbering `direct.mod_cells`
-    /// is expressed in.
-    loc_sig: u64,
-    /// Direct ∪ transitive-callee effects (what the accessors expose).
-    total: Effects,
-}
-
-/// FNV-1a over the canonical location names: two results assign the same
-/// ids to the same locations iff their signatures match (the numbering is
-/// a sort over exactly these names).
-fn loc_signature(program: &Program, pta: &PtaResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    for l in pta.locs().ids() {
-        eat(pta.loc_name(program, l).as_bytes());
-        eat(&[0]);
-    }
-    h
-}
-
 impl ModRef {
     /// Computes mod/ref summaries for every method of `program`, using the
     /// call graph from `pta`.
     pub fn compute(program: &Program, pta: &PtaResult) -> ModRef {
         let n = program.method_ids().count();
         let mut mr = ModRef {
-            direct: Effects::with_len(n),
-            loc_sig: loc_signature(program, pta),
-            total: Effects::with_len(n),
+            mod_fields: vec![BitSet::new(); n],
+            mod_globals: vec![BitSet::new(); n],
+            ref_fields: vec![BitSet::new(); n],
+            ref_globals: vec![BitSet::new(); n],
+            mod_cells: vec![HashMap::new(); n],
+            allocates: vec![false; n],
         };
         for m in program.method_ids() {
             mr.scan_direct(program, pta, m);
@@ -115,83 +52,53 @@ impl ModRef {
         mr
     }
 
-    /// Refreshes the summaries after a program edit. `changed` is the
-    /// incremental solver's changed-method set (methods whose commands,
-    /// points-to facts, or call targets may differ); only their direct
-    /// effects are re-scanned unless the location numbering shifted.
-    ///
-    /// Cell-blocking ([`ModRef::block_cells`]) is not retained — re-apply
-    /// it after every recompute, exactly as after [`ModRef::compute`].
-    pub fn recompute(&mut self, program: &Program, pta: &PtaResult, changed: &[MethodId]) {
-        let n = program.method_ids().count();
-        self.direct.resize(n);
-        let sig = loc_signature(program, pta);
-        if sig == self.loc_sig {
-            for &m in changed {
-                self.direct.clear_method(m);
-                self.scan_direct(program, pta, m);
-            }
-        } else {
-            // The edit changed the abstract-location set, so every
-            // retained mod_cells bit is in a stale numbering.
-            self.loc_sig = sig;
-            self.direct = Effects::with_len(n);
-            for m in program.method_ids() {
-                self.scan_direct(program, pta, m);
-            }
-        }
-        self.close_over_calls(program, pta);
-    }
-
-    /// One linear scan of `m`'s own commands into `self.direct`.
+    /// One linear scan of `m`'s own commands.
     fn scan_direct(&mut self, program: &Program, pta: &PtaResult, m: MethodId) {
-        let d = &mut self.direct;
+        let i = m.index();
         for c in program.method_cmds(m) {
             match program.cmd(c) {
                 Command::WriteField { obj, field, .. } => {
-                    d.mod_fields[m.index()].insert(field.index());
-                    d.mod_cells[m.index()].entry(*field).or_default().union_with(pta.pt_var(*obj));
+                    self.mod_fields[i].insert(field.index());
+                    self.mod_cells[i].entry(*field).or_default().union_with(pta.pt_var(*obj));
                 }
                 Command::WriteArray { arr, .. } => {
-                    d.mod_fields[m.index()].insert(program.contents_field.index());
-                    d.mod_cells[m.index()]
+                    self.mod_fields[i].insert(program.contents_field.index());
+                    self.mod_cells[i]
                         .entry(program.contents_field)
                         .or_default()
                         .union_with(pta.pt_var(*arr));
                 }
                 Command::WriteGlobal { global, .. } => {
-                    d.mod_globals[m.index()].insert(global.index());
+                    self.mod_globals[i].insert(global.index());
                 }
                 Command::ReadField { field, .. } => {
-                    d.ref_fields[m.index()].insert(field.index());
+                    self.ref_fields[i].insert(field.index());
                 }
                 Command::ReadArray { .. } => {
-                    d.ref_fields[m.index()].insert(program.contents_field.index());
+                    self.ref_fields[i].insert(program.contents_field.index());
                 }
                 Command::ArrayLen { .. } => {
-                    d.ref_fields[m.index()].insert(program.len_field.index());
+                    self.ref_fields[i].insert(program.len_field.index());
                 }
                 Command::ReadGlobal { global, .. } => {
-                    d.ref_globals[m.index()].insert(global.index());
+                    self.ref_globals[i].insert(global.index());
                 }
                 Command::New { .. } => {
-                    d.allocates[m.index()] = true;
+                    self.allocates[i] = true;
                 }
                 Command::NewArray { .. } => {
-                    d.allocates[m.index()] = true;
+                    self.allocates[i] = true;
                     // Array allocation initializes `len`.
-                    d.mod_fields[m.index()].insert(program.len_field.index());
+                    self.mod_fields[i].insert(program.len_field.index());
                 }
                 _ => {}
             }
         }
     }
 
-    /// Rebuilds `self.total` = direct effects closed over the call graph
-    /// (iterate to fixpoint; the graph is small).
+    /// Closes the direct effects over the call graph (iterate to fixpoint;
+    /// the graph is small).
     fn close_over_calls(&mut self, program: &Program, pta: &PtaResult) {
-        let mr = &mut self.total;
-        *mr = self.direct.clone();
         let mut changed = true;
         while changed {
             changed = false;
@@ -202,23 +109,23 @@ impl ModRef {
                             continue;
                         }
                         let (cf, cg, rf, rg, cc, al) = (
-                            mr.mod_fields[callee.index()].clone(),
-                            mr.mod_globals[callee.index()].clone(),
-                            mr.ref_fields[callee.index()].clone(),
-                            mr.ref_globals[callee.index()].clone(),
-                            mr.mod_cells[callee.index()].clone(),
-                            mr.allocates[callee.index()],
+                            self.mod_fields[callee.index()].clone(),
+                            self.mod_globals[callee.index()].clone(),
+                            self.ref_fields[callee.index()].clone(),
+                            self.ref_globals[callee.index()].clone(),
+                            self.mod_cells[callee.index()].clone(),
+                            self.allocates[callee.index()],
                         );
-                        changed |= mr.mod_fields[m.index()].union_with(&cf);
-                        changed |= mr.mod_globals[m.index()].union_with(&cg);
-                        changed |= mr.ref_fields[m.index()].union_with(&rf);
-                        changed |= mr.ref_globals[m.index()].union_with(&rg);
+                        changed |= self.mod_fields[m.index()].union_with(&cf);
+                        changed |= self.mod_globals[m.index()].union_with(&cg);
+                        changed |= self.ref_fields[m.index()].union_with(&rf);
+                        changed |= self.ref_globals[m.index()].union_with(&rg);
                         for (f, locs) in cc {
                             changed |=
-                                mr.mod_cells[m.index()].entry(f).or_default().union_with(&locs);
+                                self.mod_cells[m.index()].entry(f).or_default().union_with(&locs);
                         }
-                        if al && !mr.allocates[m.index()] {
-                            mr.allocates[m.index()] = true;
+                        if al && !self.allocates[m.index()] {
+                            self.allocates[m.index()] = true;
                             changed = true;
                         }
                     }
@@ -229,12 +136,12 @@ impl ModRef {
 
     /// Fields (by index) that `m` may transitively write.
     pub fn mod_fields(&self, m: MethodId) -> &BitSet {
-        &self.total.mod_fields[m.index()]
+        &self.mod_fields[m.index()]
     }
 
     /// Locations whose `field` cells `m` may transitively write.
     pub fn mod_cell_locs(&self, m: MethodId, field: FieldId) -> Option<&BitSet> {
-        self.total.mod_cells[m.index()].get(&field)
+        self.mod_cells[m.index()].get(&field)
     }
 
     /// True if `m` may write `field` of an object abstracted by a location
@@ -246,7 +153,7 @@ impl ModRef {
     /// Suppress the `field`-cell summary locations in `blocked` for every
     /// method (used to mirror empty-contents annotations).
     pub fn block_cells(&mut self, field: FieldId, blocked: &BitSet) {
-        for per in &mut self.total.mod_cells {
+        for per in &mut self.mod_cells {
             if let Some(locs) = per.get_mut(&field) {
                 locs.subtract(blocked);
             }
@@ -255,32 +162,31 @@ impl ModRef {
 
     /// Globals (by index) that `m` may transitively write.
     pub fn mod_globals(&self, m: MethodId) -> &BitSet {
-        &self.total.mod_globals[m.index()]
+        &self.mod_globals[m.index()]
     }
 
     /// Fields (by index) that `m` may transitively read.
     pub fn ref_fields(&self, m: MethodId) -> &BitSet {
-        &self.total.ref_fields[m.index()]
+        &self.ref_fields[m.index()]
     }
 
     /// Globals (by index) that `m` may transitively read.
     pub fn ref_globals(&self, m: MethodId) -> &BitSet {
-        &self.total.ref_globals[m.index()]
+        &self.ref_globals[m.index()]
     }
 
     /// True if `m` may transitively allocate.
     pub fn allocates(&self, m: MethodId) -> bool {
-        self.total.allocates[m.index()]
+        self.allocates[m.index()]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::{analyze, PtaOptions};
+    use crate::analysis::analyze;
     use crate::context::ContextPolicy;
-    use crate::incremental::IncrementalPta;
-    use tir::{apply_edits, parse, EditOp};
+    use tir::parse;
 
     #[test]
     fn direct_and_transitive_mods() {
@@ -379,74 +285,5 @@ entry main;
         let rec = p.free_function("rec").unwrap();
         let g = p.global_by_name("G").unwrap();
         assert!(mr.mod_globals(rec).contains(g.index()));
-    }
-
-    /// `recompute` over an edit sequence must always match a from-scratch
-    /// `compute` against the same result — including when the edit changes
-    /// the abstract-location set and invalidates the retained numbering.
-    #[test]
-    fn recompute_matches_compute_across_edits() {
-        let src = r#"
-class Box { field item: Object; field other: Object; }
-global G: Object;
-fn writer(b: Box, o: Object) {
-  b.item = o;
-  return;
-}
-fn main() {
-  var b: Box;
-  var o: Object;
-  b = new Box @box0;
-  o = new Object @obj0;
-  call writer(b, o);
-  return;
-}
-entry main;
-"#;
-        let mut p = parse(src).expect("parse");
-        let mut inc = IncrementalPta::new(&p, ContextPolicy::Insensitive, &PtaOptions::default());
-        let mut mr = ModRef::compute(&p, &inc.result(&p));
-        let batches: Vec<Vec<EditOp>> = vec![
-            // Same location set: retained direct summaries stay valid.
-            vec![EditOp::AddStmt { method: "writer".into(), at: 1, text: "b.other = o;".into() }],
-            // New allocation site: the numbering shifts, forcing the
-            // full-direct fallback.
-            vec![
-                EditOp::AddStmt {
-                    method: "main".into(),
-                    at: 2,
-                    text: "o = new Object @obj1;".into(),
-                },
-                EditOp::AddStmt { method: "main".into(), at: 3, text: "$G = o;".into() },
-            ],
-            vec![EditOp::RemoveStmt { method: "writer".into(), at: 0 }],
-        ];
-        for batch in &batches {
-            let applied = apply_edits(&mut p, batch).expect("apply");
-            let stats = inc.apply_edits(&p, &applied);
-            let pta = inc.result(&p);
-            mr.recompute(&p, &pta, &stats.changed_methods);
-            let fresh = ModRef::compute(&p, &pta);
-            let bits = |b: &BitSet| b.iter().collect::<Vec<_>>();
-            let cells = |e: &HashMap<FieldId, BitSet>| {
-                let mut v: Vec<(usize, Vec<usize>)> =
-                    e.iter().map(|(f, s)| (f.index(), s.iter().collect())).collect();
-                v.sort();
-                v
-            };
-            for m in p.method_ids() {
-                let name = p.method_name(m);
-                assert_eq!(
-                    cells(&mr.total.mod_cells[m.index()]),
-                    cells(&fresh.total.mod_cells[m.index()]),
-                    "mod_cells diverge for {name}"
-                );
-                assert_eq!(bits(mr.mod_fields(m)), bits(fresh.mod_fields(m)), "{name}");
-                assert_eq!(bits(mr.mod_globals(m)), bits(fresh.mod_globals(m)), "{name}");
-                assert_eq!(bits(mr.ref_fields(m)), bits(fresh.ref_fields(m)), "{name}");
-                assert_eq!(bits(mr.ref_globals(m)), bits(fresh.ref_globals(m)), "{name}");
-                assert_eq!(mr.allocates(m), fresh.allocates(m), "{name}");
-            }
-        }
     }
 }

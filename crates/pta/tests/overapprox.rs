@@ -175,7 +175,10 @@ fn object_sensitivity_never_adds_edges() {
         let ops = arb_ops(rng);
         let built = build(&ops);
         let base = pta::analyze(&built.program, ContextPolicy::Insensitive);
-        let obj = pta::analyze(&built.program, ContextPolicy::ObjectSensitive { max_depth: 2 });
+        let classes: Vec<&str> =
+            built.program.class_ids().map(|c| built.program.class(c).name.as_str()).collect();
+        let obj =
+            pta::analyze(&built.program, ContextPolicy::containers_named(&built.program, &classes));
         for g in built.program.global_ids() {
             let base_names: BitSet = base.pt_global(g).clone();
             let obj_names: BitSet = obj.pt_global(g).clone();

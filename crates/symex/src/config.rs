@@ -3,9 +3,35 @@
 //! retry of [`Engine::refute_edge_resilient`] has no knob: it derives its
 //! configuration from the base one by dropping loop-invariant inference.
 //!
+//! The search limits §4 fixes are constants, not fields: call-stack depth
+//! 3, two path-constraint atoms, materialization bound 1, plus the loop
+//! widening round, witness-trace and heap-cell caps below.
+//!
 //! [`Engine::refute_edge_resilient`]: crate::Engine::refute_edge_resilient
 
 use std::time::Duration;
+
+/// Call-stack depth beyond which callees are skipped by dropping the
+/// constraints they may produce (mod/ref). Paper: 3.
+pub(crate) const MAX_CALL_DEPTH: usize = 3;
+
+/// Maximum number of path-condition atoms kept per query (older atoms are
+/// dropped — a sound weakening). Paper: 2.
+pub(crate) const MAX_PATH_ATOMS: usize = 2;
+
+/// Maximum backwards passes over a loop body before widening kicks in.
+pub(crate) const LOOP_ITER_CAP: usize = 3;
+
+/// Maximum instances materialized per abstract location during loop
+/// invariant inference. Paper: 1.
+pub(crate) const MATERIALIZATION_BOUND: usize = 1;
+
+/// Maximum recorded trace steps per witness.
+pub(crate) const TRACE_CAP: usize = 512;
+
+/// Cap on exact heap cells per query; excess (newest) cells are dropped —
+/// a sound weakening bounding per-transfer cost on deep searches.
+pub(crate) const MAX_HEAP_CELLS: usize = 24;
 
 /// Query representation (§2.2, Table 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,23 +77,6 @@ pub struct SymexConfig {
     /// Exploration budget: maximum number of path programs (query forks)
     /// per edge before declaring a timeout. Paper: 10,000.
     pub budget: u64,
-    /// Call-stack depth beyond which callees are skipped by dropping the
-    /// constraints they may produce (mod/ref). Paper: 3.
-    pub max_call_depth: usize,
-    /// Maximum number of path-condition atoms kept per query (older atoms
-    /// are dropped — a sound weakening). Paper: 2.
-    pub max_path_atoms: usize,
-    /// Maximum backwards passes over a loop body before widening kicks in.
-    pub loop_iter_cap: usize,
-    /// Maximum instances materialized per abstract location during loop
-    /// invariant inference. Paper: 1.
-    pub materialization_bound: usize,
-    /// Maximum recorded trace steps per witness.
-    pub trace_cap: usize,
-    /// Hard cap on exact heap cells per query; excess (newest) cells are
-    /// dropped — a sound weakening bounding per-transfer cost on deep
-    /// searches.
-    pub max_heap_cells: usize,
     /// Cooperative wall-clock deadline per refuted edge. Checked amortized
     /// inside the engine's budget charging, so hot loops pay ~zero cost.
     /// `None` (the default) disables the check.
@@ -101,12 +110,6 @@ impl Default for SymexConfig {
             loop_mode: LoopMode::Infer,
             simplification: true,
             budget: 10_000,
-            max_call_depth: 3,
-            max_path_atoms: 2,
-            loop_iter_cap: 3,
-            materialization_bound: 1,
-            trace_cap: 512,
-            max_heap_cells: 24,
             edge_deadline: None,
             total_deadline: None,
             track_null_guards: false,
@@ -172,9 +175,9 @@ mod tests {
     fn defaults_match_paper() {
         let c = SymexConfig::default();
         assert_eq!(c.budget, 10_000);
-        assert_eq!(c.max_call_depth, 3);
-        assert_eq!(c.max_path_atoms, 2);
-        assert_eq!(c.materialization_bound, 1);
+        assert_eq!(MAX_CALL_DEPTH, 3);
+        assert_eq!(MAX_PATH_ATOMS, 2);
+        assert_eq!(MATERIALIZATION_BOUND, 1);
         assert_eq!(c.representation, Representation::Mixed);
         assert!(c.simplification);
         assert_eq!(c.edge_deadline, None);

@@ -15,7 +15,7 @@ use std::time::Instant;
 use pta::{BitSet, HeapEdge, LocId, ModRef, PtaResult};
 use tir::{Callee, CmdId, Command, MethodId, Operand, Program, Stmt, Ty, VarId};
 
-use crate::config::{LoopMode, Representation, SymexConfig};
+use crate::config::{LoopMode, Representation, SymexConfig, MAX_CALL_DEPTH};
 use crate::key::{DerefSite, RefKey};
 use crate::query::{Query, Refuted};
 use crate::region::Region;
@@ -323,7 +323,7 @@ impl<'a> Engine<'a> {
         q.locals.insert(site.base, Val::Null);
         // The dereference itself anchors the witness trace even though it
         // is not executed backwards.
-        q.record(site.cmd, self.config.trace_cap);
+        q.record(site.cmd);
         Ok(q)
     }
 
@@ -561,7 +561,7 @@ impl<'a> Engine<'a> {
 
         // Depth bound / recursion / unresolved targets: skip soundly by
         // dropping everything the callee might produce.
-        let too_deep = self.call_chain.len() >= self.config.max_call_depth;
+        let too_deep = self.call_chain.len() >= MAX_CALL_DEPTH;
         let recursive = targets.iter().any(|t| self.call_chain.contains(t));
         if too_deep || recursive || targets.is_empty() {
             self.stats.add_call_skipped_depth();
@@ -730,7 +730,7 @@ impl<'a> Engine<'a> {
         };
         // The call site is part of the path program; record it so witness
         // traces stay connected through upward propagation.
-        q.record(cmd_id, self.config.trace_cap);
+        q.record(cmd_id);
         let callee_m = program.method(callee);
         let is_instance = callee_m.class.is_some();
         // Assemble (param, actual) pairs including the receiver.

@@ -8,26 +8,23 @@
 //! 1. **Subsumption**: a new query entailed by one already in the set is
 //!    dropped (refuting the weaker query refutes it too).
 //! 2. **Materialization bound**: the number of heap cells per field may grow
-//!    by at most [`SymexConfig::materialization_bound`] over the seed — the
-//!    paper's "static bound on the number of instances of each abstract
-//!    location" (bound 1 in the evaluation).
-//! 3. **Widening**: after [`SymexConfig::loop_iter_cap`] rounds, path
+//!    by at most `MATERIALIZATION_BOUND` (1) over the seed — the paper's
+//!    "static bound on the number of instances of each abstract location"
+//!    (bound 1 in the evaluation).
+//! 3. **Widening**: after `LOOP_ITER_CAP` (3) rounds, path
 //!    constraints are dropped ("a trivial widening that drops pure
 //!    constraints that may be modified by the loop"); if the set still
 //!    grows, the remaining queries fall back to drop-all weakening.
 //!
 //! All three devices only ever *weaken* queries, preserving refutation
 //! soundness (Theorem 1).
-//!
-//! [`SymexConfig::materialization_bound`]: crate::SymexConfig::materialization_bound
-//! [`SymexConfig::loop_iter_cap`]: crate::SymexConfig::loop_iter_cap
 
 use std::collections::HashMap;
 
 use pta::BitSet;
 use tir::{Cond, FieldId, Stmt};
 
-use crate::config::{LoopMode, Representation};
+use crate::config::{LoopMode, Representation, LOOP_ITER_CAP, MATERIALIZATION_BOUND};
 use crate::engine::{Engine, Flow};
 use crate::query::Query;
 
@@ -67,7 +64,6 @@ impl Engine<'_> {
                 *e = (*e).max(n);
             }
         }
-        let bound = self.config.materialization_bound;
         let strict = self.config.representation == Representation::FullySymbolic;
 
         let mut set: Vec<Query> = Vec::new();
@@ -90,7 +86,6 @@ impl Engine<'_> {
         // survive (the paper drops only "pure constraints that may be
         // modified by the loop").
         let mark = marks.iter().copied().min().unwrap_or(0);
-        let cap = self.config.loop_iter_cap;
         while let Some((q, round)) = work.pop() {
             // One more backwards pass over (assume cond; body).
             let stepped = self.exec_stmt_back(body, q)?;
@@ -102,15 +97,15 @@ impl Engine<'_> {
                     }
                 }
                 // Materialization bound: trim per-field cell growth.
-                self.enforce_cell_cap(&mut q2, &cell_cap, bound);
+                self.enforce_cell_cap(&mut q2, &cell_cap);
                 // Widening: past the iteration cap, drop loop-derived pure
                 // constraints.
-                if round + 1 >= cap {
+                if round + 1 >= LOOP_ITER_CAP {
                     obs::add(obs::Counter::LoopWidenings, 1);
                     q2.drop_atoms_since(mark);
                 }
                 // Fallback: far past the cap, weaken to the drop-all state.
-                if round + 1 >= 3 * cap {
+                if round + 1 >= 3 * LOOP_ITER_CAP {
                     obs::add(obs::Counter::LoopDropAllFallbacks, 1);
                     q2 = self.drop_loop_affected(body, q2);
                 }
@@ -133,19 +128,14 @@ impl Engine<'_> {
     /// Trims heap cells of `q` so no field exceeds its seed count plus the
     /// materialization bound. Newest cells (appended last) are dropped
     /// first — a sound weakening.
-    fn enforce_cell_cap(
-        &mut self,
-        q: &mut Query,
-        cell_cap: &HashMap<FieldId, usize>,
-        bound: usize,
-    ) {
+    fn enforce_cell_cap(&mut self, q: &mut Query, cell_cap: &HashMap<FieldId, usize>) {
         let mut counts: HashMap<FieldId, usize> = HashMap::new();
         for c in &q.heap {
             *counts.entry(c.field).or_insert(0) += 1;
         }
         let mut excess: HashMap<FieldId, usize> = HashMap::new();
         for (f, n) in counts {
-            let cap = cell_cap.get(&f).copied().unwrap_or(0) + bound;
+            let cap = cell_cap.get(&f).copied().unwrap_or(0) + MATERIALIZATION_BOUND;
             if n > cap {
                 excess.insert(f, n - cap);
             }
@@ -415,7 +405,7 @@ mod tests {
         // Seed had one `val` cell; with the paper's bound of 1 the loop may
         // materialize at most one more. The two *newest* cells go.
         let cell_cap = HashMap::from([(lp.val_f, 1)]);
-        engine.enforce_cell_cap(&mut q, &cell_cap, 1);
+        engine.enforce_cell_cap(&mut q, &cell_cap);
         let val_cells: Vec<_> = q.heap.iter().filter(|c| c.field == lp.val_f).collect();
         assert_eq!(val_cells.len(), 2, "bound 1 allows seed + 1 materialized cell");
         assert_eq!(val_cells[0].obj, owners[0], "oldest cell must survive");

@@ -1,4 +1,4 @@
-//! Persistent cross-run refutation cache (`thresher.cache/3`).
+//! Persistent cross-run refutation cache (`thresher.cache/4`).
 //!
 //! Edge decisions are pure functions of the program slice they examine,
 //! so they survive across processes: every decision the coordinator
@@ -16,7 +16,7 @@
 //! # Store format
 //!
 //! One JSONL file (`decisions.jsonl`) per cache directory. The first
-//! line is a header `{"schema":"thresher.cache/3"}`; every other line is
+//! line is a header `{"schema":"thresher.cache/4"}`; every other line is
 //! one decision record serialized with [`obs::json`]. A record's `obs`
 //! field is its captured [`MetricsDelta`] in the form `obs` owns
 //! ([`MetricsDelta::to_value`]): counter totals plus per-histogram log₂
@@ -56,9 +56,9 @@ use crate::stats::{RefutationCounts, SearchOutcome, SearchStats, StopReason, Wit
 use crate::SymexConfig;
 
 /// The store schema identifier; a mismatch discards the whole file. Bump
-/// it whenever the config fingerprint key or the meaning of a record field
-/// changes.
-pub const CACHE_SCHEMA: &str = "thresher.cache/3";
+/// it whenever the config fingerprint key, a search-limit constant of
+/// `config.rs`, or the meaning of a record field changes.
+pub const CACHE_SCHEMA: &str = "thresher.cache/4";
 
 /// File name of the decision store inside a cache directory.
 pub const CACHE_FILE: &str = "decisions.jsonl";
@@ -388,22 +388,17 @@ impl<'a> Fingerprinter<'a> {
 /// Canonical rendering of every [`SymexConfig`] field that can change a
 /// decision. All fields participate — including the deadlines and the
 /// fault-injection hook — so a record is only ever reused under the
-/// exact configuration that produced it.
+/// exact configuration that produced it. The search limits that are
+/// constants are covered by [`CACHE_SCHEMA`]: changing one means bumping
+/// it.
 fn config_fingerprint_key(c: &SymexConfig) -> String {
     format!(
-        "repr={:?};loop={:?};simp={};budget={};call_depth={};path_atoms={};iter_cap={};\
-         mat_bound={};trace_cap={};heap_cells={};edge_deadline={:?};total_deadline={:?};\
+        "repr={:?};loop={:?};simp={};budget={};edge_deadline={:?};total_deadline={:?};\
          null_guards={};inject={:?}",
         c.representation,
         c.loop_mode,
         c.simplification,
         c.budget,
-        c.max_call_depth,
-        c.max_path_atoms,
-        c.loop_iter_cap,
-        c.materialization_bound,
-        c.trace_cap,
-        c.max_heap_cells,
         c.edge_deadline,
         c.total_deadline,
         c.track_null_guards,

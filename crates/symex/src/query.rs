@@ -13,6 +13,7 @@ use pta::BitSet;
 use solver::{Atom, ConstraintSet, Term};
 use tir::{CmdId, FieldId, GlobalId, VarId};
 
+use crate::config::TRACE_CAP;
 use crate::region::Region;
 use crate::value::{SymId, Val};
 
@@ -362,11 +363,18 @@ impl Query {
         Ok(())
     }
 
-    /// Record a traversed command in the path-program trace.
-    pub fn record(&mut self, cmd: CmdId, cap: usize) {
-        if self.trace.len() < cap {
+    /// Record a traversed command in the path-program trace (at most
+    /// `TRACE_CAP` commands are kept).
+    pub fn record(&mut self, cmd: CmdId) {
+        if self.trace.len() < TRACE_CAP {
             self.trace.push(cmd);
         }
+    }
+
+    /// Drops the newest heap cells beyond `cap` (a sound weakening: the
+    /// remaining query describes more states, never fewer).
+    pub fn truncate_heap(&mut self, cap: usize) {
+        self.heap.truncate(cap);
     }
 
     /// Fields mentioned by heap constraints (query footprint, for mod/ref

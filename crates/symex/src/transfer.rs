@@ -6,7 +6,7 @@ use pta::BitSet;
 use solver::{Atom, Term};
 use tir::{BinOp, CmdId, CmpOp, Command, Cond, FieldId, GlobalId, Operand, VarId};
 
-use crate::config::Representation;
+use crate::config::{Representation, MAX_HEAP_CELLS, MAX_PATH_ATOMS};
 use crate::engine::{Engine, Flow, Stop};
 use crate::query::{HeapCell, Query, Refuted};
 use crate::stats::StopReason;
@@ -36,7 +36,7 @@ impl Engine<'_> {
                 )
             });
         }
-        q.record(cmd_id, self.config.trace_cap);
+        q.record(cmd_id);
         if trace_cmds() {
             obs::instant_with(obs::SpanKind::Message, || {
                 format!(
@@ -106,14 +106,11 @@ impl Engine<'_> {
     /// normalization, explicit-mode explosion, and the full-witness check
     /// (a discharged satisfiable query is `any`).
     fn finish(&mut self, qs: Vec<Query>) -> Flow {
-        let cap = self.config.max_heap_cells;
         let mut capped = Vec::with_capacity(qs.len());
         for mut q in qs {
-            // Bound query size: drop the newest cells beyond the cap
-            // (sound weakening; keeps transfers and entailment cheap).
-            while q.heap.len() > cap {
-                q.heap.pop();
-            }
+            // Bound query size (sound weakening; keeps transfers and
+            // entailment cheap).
+            q.truncate_heap(MAX_HEAP_CELLS);
             capped.push(q);
         }
         let mut out = Vec::new();
@@ -617,7 +614,7 @@ impl Engine<'_> {
                 return Ok(None);
             }
         };
-        match q.add_path_atom(Atom::new(*op, t1, t2), self.config.max_path_atoms) {
+        match q.add_path_atom(Atom::new(*op, t1, t2), MAX_PATH_ATOMS) {
             Ok(()) => Ok(Some(q)),
             Err(r) => {
                 self.stats.count_refutation(r);

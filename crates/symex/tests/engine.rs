@@ -3,8 +3,9 @@
 //! (Figure 3).
 
 use pta::{analyze, ContextPolicy, HeapEdge, LocId, ModRef, PtaResult};
-use symex::{Engine, LoopMode, Representation, SearchOutcome, SymexConfig};
-use tir::Program;
+use solver::{Atom, Term};
+use symex::{Engine, LoopMode, Query, Region, Representation, SearchOutcome, SymexConfig};
+use tir::{CmpOp, Program};
 
 struct Setup {
     program: Program,
@@ -333,13 +334,25 @@ fn fig1_grown_array_edges_are_witnessed() {
 
 #[test]
 fn fig1_refutation_needs_path_constraints() {
-    // With the path-constraint set capped at zero the sz/cap contradiction
-    // cannot be tracked, so the refutation must degrade to a (sound)
-    // witness or timeout — never an unsound refutation of a witnessed edge.
+    // The EMPTY edge falls to the path constraint `sz < cap`, which the
+    // constructor's `sz = 0`, `cap = 0` contradicts. Under the engine's cap
+    // of two path atoms the query keeps the guard and refutes; with the
+    // path-constraint set capped at zero the guard is dropped, so the
+    // query survives — dropping path atoms weakens, never refutes.
     let s = fig1();
-    let cfg = SymexConfig { max_path_atoms: 0, ..SymexConfig::default() };
-    let out = s.engine(cfg).refute_edge(&s.array_edge("arr0", "act0"));
-    assert!(!out.is_refuted(), "{out:?}");
+    assert!(s
+        .engine(SymexConfig::default())
+        .refute_edge(&s.array_edge("arr0", "act0"))
+        .is_refuted());
+    for (cap, refuted) in [(2, true), (0, false)] {
+        let mut q = Query::new();
+        let sz = q.fresh_sym(Region::Data);
+        let size = q.fresh_sym(Region::Data);
+        q.add_pure(CmpOp::Eq, Term::sym(sz.0), Term::int(0)).unwrap();
+        q.add_pure(CmpOp::Eq, Term::sym(size.0), Term::int(0)).unwrap();
+        let out = q.add_path_atom(Atom::new(CmpOp::Lt, Term::sym(sz.0), Term::sym(size.0)), cap);
+        assert_eq!(out.is_err(), refuted, "cap {cap}: {out:?}");
+    }
 }
 
 #[test]

@@ -5,7 +5,9 @@
 use std::time::Duration;
 
 use pta::{analyze, ContextPolicy, HeapEdge, LocId, ModRef, PtaResult};
-use symex::{Engine, LoopMode, SearchOutcome, StopReason, SymexConfig};
+use symex::{
+    Engine, HeapCell, LoopMode, Query, Region, SearchOutcome, StopReason, SymexConfig, Val,
+};
 use tir::Program;
 
 /// A program whose `box0.item -> secret0` edge is refutable, but only
@@ -235,11 +237,24 @@ fn engine_stays_usable_after_contained_panic() {
 #[test]
 fn soft_heap_cap_still_decides() {
     let s = setup(FORK_HEAVY);
-    let cfg = SymexConfig { max_heap_cells: 0, ..SymexConfig::default() };
-    // Cells past the cap are truncated (a sound weakening), so the search
-    // keeps deciding the edge instead of giving up.
-    let mut engine = s.engine(cfg);
+    let mut engine = s.engine(SymexConfig::default());
     assert!(!matches!(engine.refute_edge(&s.item_edge()), SearchOutcome::Aborted(_)));
+    // Cells past the cap are truncated newest first (a sound weakening),
+    // never turned into an abort: a query capped to no cells at all is
+    // discharged and satisfiable, which the search reports as a witness.
+    let field = s.program.resolve_field(s.program.class_by_name("Box").unwrap(), "other").unwrap();
+    let mut q = Query::new();
+    let boxes: Vec<_> =
+        (0..3).map(|_| q.fresh_sym(Region::singleton(s.loc("box0").index()))).collect();
+    for pair in boxes.windows(2) {
+        q.heap.push(HeapCell { obj: pair[0], field, val: Val::Sym(pair[1]), idx: None });
+    }
+    q.truncate_heap(1);
+    assert_eq!(q.heap.len(), 1);
+    assert_eq!(q.heap[0].obj, boxes[0], "the oldest cell must survive");
+    q.truncate_heap(0);
+    assert!(q.is_discharged());
+    assert_eq!(q.try_pure_sat(), Ok(true));
 }
 
 // ---------------------------------------------------------------------------

@@ -68,8 +68,13 @@ fn cli_failure_band() {
     // Usage errors -> 64.
     assert_eq!(cli(&["--definitely-not-a-flag"]), Some(64));
     assert_eq!(cli(&[good.to_str().unwrap(), "--query", "NO_SUCH_GLOBAL", "str0"]), Some(64));
-    // `--pta-solver` is no flag, and `off` is no cache mode.
+    // `--pta-solver` and `--edit-script` are no flags, and `off` is no
+    // cache mode.
     assert_eq!(cli(&[good.to_str().unwrap(), "--pta-solver", "delta"]), Some(64));
+    let script = dir.join("edits.ndjson");
+    fs::write(&script, "{\"op\":\"remove_stmt\",\"method\":\"main\",\"at\":0}\n")
+        .expect("write edit script");
+    assert_eq!(cli(&[good.to_str().unwrap(), "--edit-script", script.to_str().unwrap()]), Some(64));
     assert_eq!(cli(&[good.to_str().unwrap(), "--cache", "off"]), Some(64));
     // Missing input -> 66.
     assert_eq!(cli(&[dir.join("missing.tir").to_str().unwrap()]), Some(66));
@@ -80,10 +85,36 @@ fn cli_failure_band() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A reader that goes away before the report is written (`| head -1`,
+/// `| true`) is an output I/O error -> 74, never a panic.
+#[test]
+fn cli_closed_stdout_is_an_io_error() {
+    let dir = tmp("closed-stdout");
+    let path = dir.join("boxy.tir");
+    fs::write(&path, PROGRAM).expect("write program");
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_thresher-cli"))
+        .args([path.to_str().unwrap(), "--query", "CACHE", "str0"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run thresher-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(74), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn serve_shares_the_contract() {
-    // Usage errors -> 64; the daemon has no worker-pool flags.
-    for args in [&["--definitely-not-a-flag"][..], &["--workers", "2"], &["--global-budget", "5"]] {
+    // Usage errors -> 64; the daemon has no worker-pool or window flags.
+    for args in [
+        &["--definitely-not-a-flag"][..],
+        &["--workers", "2"],
+        &["--global-budget", "5"],
+        &["--window", "8"],
+    ] {
         let code = Command::new(env!("CARGO_BIN_EXE_thresher-serve"))
             .args(args)
             .stdin(Stdio::null())

@@ -147,6 +147,13 @@ fn random_edit(rng: &mut Rng, program: &Program, fresh: &mut usize) -> EditOp {
     }
 }
 
+/// Object sensitivity: container sensitivity over every class of
+/// `program`, so every instance method gets receiver contexts.
+fn every_class(program: &Program) -> ContextPolicy {
+    let names: Vec<&str> = program.class_ids().map(|c| program.class(c).name.as_str()).collect();
+    ContextPolicy::containers_named(program, &names)
+}
+
 fn reference_text(program: &Program, policy: &ContextPolicy) -> String {
     canonical_text(program, &analyze_reference(program, policy.clone(), &PtaOptions::default()))
 }
@@ -158,12 +165,13 @@ fn reference_text(program: &Program, policy: &ContextPolicy) -> String {
 #[test]
 fn random_edit_sequences_match_reference() {
     run_cases(48, |rng| {
-        let policy = match rng.below(3) {
-            0 => ContextPolicy::Insensitive,
-            1 => ContextPolicy::ObjectSensitive { max_depth: 2 },
-            _ => ContextPolicy::CallSiteSensitive,
-        };
+        let which = rng.below(3);
         let mut program = tir::parse(&base_source(rng)).expect("base program parses");
+        let policy = match which {
+            0 => ContextPolicy::Insensitive,
+            1 => ContextPolicy::containers_named(&program, &["Cell"]),
+            _ => every_class(&program),
+        };
         let mut inc = IncrementalPta::new(&program, policy.clone(), &PtaOptions::default());
         assert_eq!(
             canonical_text(&program, &inc.result(&program)),
@@ -496,11 +504,8 @@ fn edit_replay_is_deterministic() {
 
         let run = || {
             let mut program = tir::parse(&src).expect("base program parses");
-            let mut inc = IncrementalPta::new(
-                &program,
-                ContextPolicy::ObjectSensitive { max_depth: 2 },
-                &PtaOptions::default(),
-            );
+            let mut inc =
+                IncrementalPta::new(&program, every_class(&program), &PtaOptions::default());
             for ops in &ops_log {
                 let applied = apply_edits(&mut program, ops).expect("pre-validated batch");
                 inc.apply_edits(&program, &applied);

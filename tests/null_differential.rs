@@ -41,12 +41,14 @@ fn corpus_dir() -> PathBuf {
     p
 }
 
+/// The insensitive policy, the corpus containers, and object sensitivity
+/// (container sensitivity over every class of `program`).
 fn policies(program: &Program) -> Vec<PointsToPolicy> {
+    let classes: Vec<&str> = program.class_ids().map(|c| program.class(c).name.as_str()).collect();
     vec![
         PointsToPolicy::Insensitive,
         PointsToPolicy::containers_named(program, &["AVec", "AHashMap"]),
-        PointsToPolicy::ObjectSensitive { max_depth: 2 },
-        PointsToPolicy::CallSiteSensitive,
+        PointsToPolicy::containers_named(program, &classes),
     ]
 }
 

@@ -24,12 +24,18 @@ fn assert_solvers_agree(name: &str, program: &Program, policy: ContextPolicy) {
     assert_eq!(a, b, "delta and reference solvers disagree on {name} under {policy:?}");
 }
 
+/// Object sensitivity: container sensitivity over every class of
+/// `program`, so every instance method gets receiver contexts.
+fn every_class(program: &Program) -> ContextPolicy {
+    let names: Vec<&str> = program.class_ids().map(|c| program.class(c).name.as_str()).collect();
+    ContextPolicy::containers_named(program, &names)
+}
+
 fn policies(program: &Program) -> Vec<ContextPolicy> {
     vec![
         ContextPolicy::Insensitive,
         ContextPolicy::containers_named(program, &["AVec", "AHashMap"]),
-        ContextPolicy::ObjectSensitive { max_depth: 2 },
-        ContextPolicy::CallSiteSensitive,
+        every_class(program),
     ]
 }
 
@@ -199,8 +205,8 @@ fn solvers_agree_on_random_programs() {
         let program = random_program(rng);
         let policy = match rng.below(3) {
             0 => ContextPolicy::Insensitive,
-            1 => ContextPolicy::ObjectSensitive { max_depth: 2 },
-            _ => ContextPolicy::CallSiteSensitive,
+            1 => ContextPolicy::containers_named(&program, &["C0"]),
+            _ => every_class(&program),
         };
         assert_solvers_agree("random", &program, policy);
     });
