@@ -4,7 +4,7 @@
 //! backing array holds *default* contents until pushed — exactly the
 //! shape that makes naive null reporting noisy and refutation valuable.
 //! This module turns that example into a reusable vocabulary for the
-//! null-dereference client ([`thresher::NullClient`]-compatible
+//! null-dereference client (`thresher::NullClient`-compatible
 //! programs; the `core` crate depends on `apps` only in tests, so the
 //! coupling is by construction, not by import):
 //!
@@ -192,8 +192,9 @@ fn choice_fan(
 }
 
 /// Builds one program containing every motif of every group, groups
-/// fully isolated from each other (see [`Group`]). Group tags must be
-/// distinct; `("", motifs)` gives the undecorated class names.
+/// fully isolated from each other (each tag gets its own element and
+/// vector classes). Group tags must be distinct; `("", motifs)` gives the
+/// undecorated class names.
 pub fn build_null_program(groups: &[(String, Vec<NullMotif>)]) -> Program {
     build_impl(groups, false)
 }

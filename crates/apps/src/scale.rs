@@ -23,7 +23,7 @@ const RING_LEN: usize = 3;
 /// Each module contributes: a linked-list class `Data{m}` (fields
 /// `next{m}`, `payload{m}`), a dispatch hierarchy `Base{m}` /
 /// `SubA{m}` / `SubB{m}` with a virtual `get`, globals `G{m}` and
-/// `H{m}`, a [`RING_LEN`]-function copy ring (`ring{m}_i`), and a driver
+/// `H{m}`, a `RING_LEN`-function copy ring (`ring{m}_i`), and a driver
 /// `drive{m}` invoked from `main`.
 ///
 /// # Panics

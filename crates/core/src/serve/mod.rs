@@ -28,7 +28,7 @@
 //! parallelises the refutation inside each request, where answers cannot
 //! move. Request metrics are buffered per request and replayed into the
 //! global recorder only after the request completes, so a per-request
-//! [`RunReport`](obs::RunReport) (params `"report": true`) is
+//! [`obs::RunReport`] (params `"report": true`) is
 //! byte-comparable — modulo timing — with a one-shot `thresher-cli` run of
 //! the same work (`--diff-reports`).
 //!

@@ -28,6 +28,17 @@ impl BitSet {
         s
     }
 
+    /// The backing words, least significant element first (trailing words
+    /// may be zero).
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Removes every element, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.words.clear();
+    }
+
     /// Inserts `bit`; returns true if it was newly added.
     pub fn insert(&mut self, bit: usize) -> bool {
         let (w, m) = (bit / 64, 1u64 << (bit % 64));

@@ -125,13 +125,13 @@ impl PtaResult {
     }
 
     /// Points-to set of `y.f` — union of `pt_field(l, f)` over `l ∈ pt(y)`
-    /// (the `pt_Ĝ(y.f)` of the paper).
-    pub fn pt_var_field(&self, y: VarId, f: FieldId) -> BitSet {
-        let mut out = BitSet::new();
+    /// (the `pt_Ĝ(y.f)` of the paper) — written into `out` (cleared first),
+    /// so the search can reuse one allocation across transfers.
+    pub fn pt_var_field_into(&self, y: VarId, f: FieldId, out: &mut BitSet) {
+        out.clear();
         for l in self.pt_var(y).iter() {
             out.union_with(self.pt_field(LocId(l as u32), f));
         }
-        out
     }
 
     /// All heap field edges, as (base, field, targets) triples.

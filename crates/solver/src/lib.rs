@@ -200,11 +200,6 @@ impl ConstraintSet {
         self.atoms.is_empty()
     }
 
-    /// Removes atoms not satisfying `keep`.
-    pub fn retain(&mut self, keep: impl FnMut(&Atom) -> bool) {
-        self.atoms.retain(keep);
-    }
-
     /// Decides satisfiability over the integers, treating solver failure
     /// as satisfiable (the conservative direction: refutations stay sound).
     /// See the [crate docs](self) for the completeness guarantee.
@@ -214,142 +209,10 @@ impl ConstraintSet {
 
     /// Decides satisfiability over the integers, reporting failures (offset
     /// overflow, oversized inputs) instead of panicking or silently
-    /// wrapping. See the [crate docs](self) for the completeness guarantee.
-    ///
-    /// Every call is metered: one [`obs::Counter::SolverCalls`] bump, a
-    /// verdict counter, and a latency observation — plus a fine-grained
-    /// span when an installed recorder asks for one.
+    /// wrapping. See the [crate docs](self) for the completeness guarantee
+    /// and [`try_is_sat_slice`] for the metering.
     pub fn try_is_sat(&self) -> Result<bool, SolverError> {
-        let timer = obs::timer();
-        let _span =
-            obs::span_with(obs::SpanKind::SolverCall, || format!("is_sat/{}", self.atoms.len()));
-        let result = self.try_is_sat_inner();
-        if obs::enabled() {
-            obs::add(obs::Counter::SolverCalls, 1);
-            let verdict = match &result {
-                Ok(true) => obs::Counter::SolverSat,
-                Ok(false) => obs::Counter::SolverUnsat,
-                Err(_) => obs::Counter::SolverFailures,
-            };
-            obs::add(verdict, 1);
-            obs::observe_elapsed_ns(obs::Hist::SolverNanos, timer);
-        }
-        result
-    }
-
-    fn try_is_sat_inner(&self) -> Result<bool, SolverError> {
-        if self.atoms.len() > MAX_ATOMS {
-            return Err(SolverError::TooLarge);
-        }
-        // Collect difference edges `a - b <= c` and disequality pairs.
-        let mut nodes: Vec<Node> = vec![Node::Zero];
-        let node_of = |n: Node, nodes: &mut Vec<Node>| -> usize {
-            if let Some(i) = nodes.iter().position(|&m| m == n) {
-                i
-            } else {
-                nodes.push(n);
-                nodes.len() - 1
-            }
-        };
-        let mut edges: Vec<(usize, usize, i64)> = Vec::new(); // a - b <= c as edge b -> a with weight c
-        let mut diseqs: Vec<((Node, i64), (Node, i64))> = Vec::new();
-
-        for atom in &self.atoms {
-            let (a, ca) = norm(atom.lhs);
-            let (b, cb) = norm(atom.rhs);
-            if a == b {
-                // Both sides over the same node: decide directly.
-                // lhs - rhs = ca - cb.
-                if !atom.op.eval(ca, cb) {
-                    return Ok(false);
-                }
-                continue;
-            }
-            let ai = node_of(a, &mut nodes);
-            let bi = node_of(b, &mut nodes);
-            // value(a) + ca  op  value(b) + cb
-            // i.e. a - b  op  cb - ca
-            let d = cb.checked_sub(ca).ok_or(SolverError::Overflow)?;
-            let neg_d = d.checked_neg().ok_or(SolverError::Overflow)?;
-            match atom.op {
-                CmpOp::Lt => edges.push((bi, ai, d.checked_sub(1).ok_or(SolverError::Overflow)?)),
-                CmpOp::Le => edges.push((bi, ai, d)),
-                CmpOp::Gt => {
-                    edges.push((ai, bi, neg_d.checked_sub(1).ok_or(SolverError::Overflow)?))
-                }
-                CmpOp::Ge => edges.push((ai, bi, neg_d)),
-                CmpOp::Eq => {
-                    edges.push((bi, ai, d));
-                    edges.push((ai, bi, neg_d));
-                }
-                CmpOp::Ne => diseqs.push(((a, ca), (b, cb))),
-            }
-        }
-
-        // Bellman-Ford negative cycle detection.
-        let n = nodes.len();
-        let mut dist = vec![0i64; n];
-        for round in 0..n {
-            let mut changed = false;
-            for &(from, to, w) in &edges {
-                let cand = dist[from].saturating_add(w);
-                if cand < dist[to] {
-                    dist[to] = cand;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            if round + 1 == n && changed {
-                return Ok(false); // negative cycle: the difference system is unsat
-            }
-        }
-
-        if diseqs.is_empty() {
-            return Ok(true);
-        }
-
-        // All-pairs shortest paths (Floyd-Warshall) to detect forced
-        // equalities contradicting a disequality.
-        const INF: i64 = i64::MAX / 4;
-        let mut d = vec![vec![INF; n]; n];
-        for (i, row) in d.iter_mut().enumerate() {
-            row[i] = 0;
-        }
-        for &(from, to, w) in &edges {
-            // edge b -> a with weight c encodes a - b <= c; shortest path
-            // d[b][a] bounds a - b.
-            if w < d[from][to] {
-                d[from][to] = w;
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                if d[i][k] == INF {
-                    continue;
-                }
-                for j in 0..n {
-                    let cand = d[i][k].saturating_add(d[k][j]);
-                    if cand < d[i][j] {
-                        d[i][j] = cand;
-                    }
-                }
-            }
-        }
-        for ((a, ca), (b, cb)) in diseqs {
-            let ai = nodes.iter().position(|&m| m == a).expect("node interned");
-            let bi = nodes.iter().position(|&m| m == b).expect("node interned");
-            // lhs = rhs forced iff a - b forced to equal cb - ca:
-            //   d[bi][ai] <= cb - ca  (a - b <= cb - ca)
-            //   d[ai][bi] <= ca - cb  (b - a <= ca - cb)
-            let delta = cb.checked_sub(ca).ok_or(SolverError::Overflow)?;
-            let neg_delta = delta.checked_neg().ok_or(SolverError::Overflow)?;
-            if d[bi][ai] <= delta && d[ai][bi] <= neg_delta {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        try_is_sat_slice(&self.atoms)
     }
 
     /// True if this conjunction entails `atom` (refutation-sound: may
@@ -361,27 +224,203 @@ impl ConstraintSet {
 
     /// Entailment check reporting solver failures instead of panicking.
     pub fn try_implies(&self, atom: &Atom) -> Result<bool, SolverError> {
-        if self.atoms.contains(atom) {
-            return Ok(true);
-        }
-        let mut with_neg = self.clone();
-        match atom.op {
-            // The negation of Eq is Ne, whose unsat check is incomplete, so
-            // entailment of Eq goes through both inequalities instead.
-            CmpOp::Eq => {
-                let le = Atom::new(CmpOp::Le, atom.lhs, atom.rhs);
-                let ge = Atom::new(CmpOp::Ge, atom.lhs, atom.rhs);
-                return Ok(self.try_implies(&le)? && self.try_implies(&ge)?);
-            }
-            _ => with_neg.add_atom(atom.negate()),
-        }
-        Ok(!with_neg.try_is_sat()?)
+        try_implies_slice(&self.atoms, atom)
     }
 
     /// True if every atom of `other` is entailed by `self`.
     pub fn entails_all(&self, other: &ConstraintSet) -> bool {
         other.atoms.iter().all(|a| self.implies(a))
     }
+}
+
+/// Decides the conjunction of `atoms` over the integers, the way
+/// [`ConstraintSet::try_is_sat`] does, without copying them into a set.
+/// Duplicate atoms are harmless.
+///
+/// Every call is metered: one [`obs::Counter::SolverCalls`] bump, a
+/// verdict counter, and a latency observation — plus a fine-grained span
+/// when an installed recorder asks for one. The difference graph is built
+/// in per-thread scratch buffers that are reused across calls.
+pub fn try_is_sat_slice(atoms: &[Atom]) -> Result<bool, SolverError> {
+    decide_metered(atoms, None)
+}
+
+/// True if the conjunction of `atoms` entails `atom`, the way
+/// [`ConstraintSet::try_implies`] decides it: a syntactic member is
+/// entailed without a solver run, an equality goes through both
+/// inequalities, and anything else is entailed iff adding its negation is
+/// unsatisfiable.
+pub fn try_implies_slice(atoms: &[Atom], atom: &Atom) -> Result<bool, SolverError> {
+    if atoms.contains(atom) {
+        return Ok(true);
+    }
+    if atom.op == CmpOp::Eq {
+        // The negation of Eq is Ne, whose unsat check is incomplete, so
+        // entailment of Eq goes through both inequalities instead.
+        let le = Atom::new(CmpOp::Le, atom.lhs, atom.rhs);
+        let ge = Atom::new(CmpOp::Ge, atom.lhs, atom.rhs);
+        return Ok(try_implies_slice(atoms, &le)? && try_implies_slice(atoms, &ge)?);
+    }
+    Ok(!decide_metered(atoms, Some(atom.negate()))?)
+}
+
+/// Reused buffers of one decision: the interned graph nodes, the
+/// difference edges, the disequalities, and the distance vector and
+/// matrix. Distances are `i128`: a shortest path sums at most one `i64`
+/// weight per node, so path arithmetic is exact and a subset of a
+/// satisfiable set is always decided satisfiable (the check is monotone).
+#[derive(Default)]
+struct Scratch {
+    nodes: Vec<Node>,
+    edges: Vec<(usize, usize, i64)>,
+    diseqs: Vec<((Node, i64), (Node, i64))>,
+    dist: Vec<i128>,
+    matrix: Vec<i128>,
+}
+
+thread_local! {
+    static SCRATCH: std::cell::RefCell<Scratch> = std::cell::RefCell::new(Scratch::default());
+}
+
+/// One metered decision of `atoms ∧ extra`.
+fn decide_metered(atoms: &[Atom], extra: Option<Atom>) -> Result<bool, SolverError> {
+    let timer = obs::timer();
+    let n = atoms.len() + usize::from(extra.is_some());
+    let _span = obs::span_with(obs::SpanKind::SolverCall, || format!("is_sat/{n}"));
+    let result = SCRATCH.with(|s| decide(atoms, extra, &mut s.borrow_mut()));
+    if obs::enabled() {
+        obs::add(obs::Counter::SolverCalls, 1);
+        let verdict = match &result {
+            Ok(true) => obs::Counter::SolverSat,
+            Ok(false) => obs::Counter::SolverUnsat,
+            Err(_) => obs::Counter::SolverFailures,
+        };
+        obs::add(verdict, 1);
+        obs::observe_elapsed_ns(obs::Hist::SolverNanos, timer);
+    }
+    result
+}
+
+/// The decision procedure proper: Bellman-Ford for the difference
+/// constraints, then Floyd-Warshall for forced equalities against the
+/// disequalities.
+fn decide(atoms: &[Atom], extra: Option<Atom>, s: &mut Scratch) -> Result<bool, SolverError> {
+    if atoms.len() + usize::from(extra.is_some()) > MAX_ATOMS {
+        return Err(SolverError::TooLarge);
+    }
+    let Scratch { nodes, edges, diseqs, dist, matrix } = s;
+    nodes.clear();
+    edges.clear();
+    diseqs.clear();
+    // Collect difference edges `a - b <= c` and disequality pairs.
+    nodes.push(Node::Zero);
+    let node_of = |n: Node, nodes: &mut Vec<Node>| -> usize {
+        if let Some(i) = nodes.iter().position(|&m| m == n) {
+            i
+        } else {
+            nodes.push(n);
+            nodes.len() - 1
+        }
+    };
+    for atom in atoms.iter().chain(extra.as_ref()) {
+        let (a, ca) = norm(atom.lhs);
+        let (b, cb) = norm(atom.rhs);
+        if a == b {
+            // Both sides over the same node: decide directly.
+            // lhs - rhs = ca - cb.
+            if !atom.op.eval(ca, cb) {
+                return Ok(false);
+            }
+            continue;
+        }
+        let ai = node_of(a, nodes);
+        let bi = node_of(b, nodes);
+        // value(a) + ca  op  value(b) + cb
+        // i.e. a - b  op  cb - ca; an edge b -> a with weight c encodes
+        // a - b <= c.
+        let d = cb.checked_sub(ca).ok_or(SolverError::Overflow)?;
+        let neg_d = d.checked_neg().ok_or(SolverError::Overflow)?;
+        match atom.op {
+            CmpOp::Lt => edges.push((bi, ai, d.checked_sub(1).ok_or(SolverError::Overflow)?)),
+            CmpOp::Le => edges.push((bi, ai, d)),
+            CmpOp::Gt => edges.push((ai, bi, neg_d.checked_sub(1).ok_or(SolverError::Overflow)?)),
+            CmpOp::Ge => edges.push((ai, bi, neg_d)),
+            CmpOp::Eq => {
+                edges.push((bi, ai, d));
+                edges.push((ai, bi, neg_d));
+            }
+            CmpOp::Ne => diseqs.push(((a, ca), (b, cb))),
+        }
+    }
+
+    // Bellman-Ford negative cycle detection (exact: see `Scratch`).
+    let n = nodes.len();
+    dist.clear();
+    dist.resize(n, 0);
+    for round in 0..n {
+        let mut changed = false;
+        for &(from, to, w) in edges.iter() {
+            let cand = dist[from] + i128::from(w);
+            if cand < dist[to] {
+                dist[to] = cand;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+        if round + 1 == n && changed {
+            return Ok(false); // negative cycle: the difference system is unsat
+        }
+    }
+
+    if diseqs.is_empty() {
+        return Ok(true);
+    }
+
+    // All-pairs shortest paths (Floyd-Warshall) to detect forced
+    // equalities contradicting a disequality; `d[i * n + j]` bounds
+    // `node j - node i`, and `INF` marks "no path".
+    const INF: i128 = i128::MAX;
+    let d = matrix;
+    d.clear();
+    d.resize(n * n, INF);
+    for i in 0..n {
+        d[i * n + i] = 0;
+    }
+    for &(from, to, w) in edges.iter() {
+        let w = i128::from(w);
+        if w < d[from * n + to] {
+            d[from * n + to] = w;
+        }
+    }
+    for k in 0..n {
+        for i in 0..n {
+            let dik = d[i * n + k];
+            if dik == INF {
+                continue;
+            }
+            for j in 0..n {
+                let dkj = d[k * n + j];
+                if dkj != INF && dik + dkj < d[i * n + j] {
+                    d[i * n + j] = dik + dkj;
+                }
+            }
+        }
+    }
+    for &((a, ca), (b, cb)) in diseqs.iter() {
+        let ai = nodes.iter().position(|&m| m == a).expect("node interned");
+        let bi = nodes.iter().position(|&m| m == b).expect("node interned");
+        // lhs = rhs forced iff a - b forced to equal cb - ca:
+        //   d[bi][ai] <= cb - ca  (a - b <= cb - ca)
+        //   d[ai][bi] <= ca - cb  (b - a <= ca - cb)
+        let delta = cb.checked_sub(ca).ok_or(SolverError::Overflow)?;
+        let neg_delta = delta.checked_neg().ok_or(SolverError::Overflow)?;
+        if d[bi * n + ai] <= i128::from(delta) && d[ai * n + bi] <= i128::from(neg_delta) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 impl FromIterator<Atom> for ConstraintSet {

@@ -10,6 +10,7 @@
 //! survives, satisfiable, to the program entry.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 use pta::{BitSet, HeapEdge, LocId, ModRef, PtaResult};
@@ -31,9 +32,9 @@ pub(crate) enum Stop {
     Aborted(StopReason),
 }
 
-/// The result of pushing queries backwards: the surviving sub-queries, or an
-/// early stop.
-pub(crate) type Flow = Result<Vec<Query>, Stop>;
+/// The result of pushing queries backwards: the surviving sub-queries are
+/// appended to a caller-supplied vector, or the search stops early.
+pub(crate) type Flow = Result<(), Stop>;
 
 /// Hard cap on upward caller-propagation depth; exceeding it aborts the
 /// search (sound: the edge is simply not refuted).
@@ -72,6 +73,13 @@ pub struct Engine<'a> {
     engine_deadline: Option<Instant>,
     /// Charge counter used to amortize deadline polls.
     ticks: u32,
+    /// Empty query vectors kept for reuse, so walking statements allocates
+    /// no result vectors.
+    spare: Vec<Vec<Query>>,
+    /// Memoized statement path of each command (see [`Engine::cmd_path`]).
+    paths: Vec<Option<Arc<[usize]>>>,
+    /// Reused location set for narrowing targets computed per transfer.
+    pub(crate) scratch: BitSet,
 }
 
 impl<'a> Engine<'a> {
@@ -98,7 +106,37 @@ impl<'a> Engine<'a> {
             deadline: None,
             engine_deadline,
             ticks: 0,
+            spare: Vec::new(),
+            paths: Vec::new(),
+            scratch: BitSet::new(),
         }
+    }
+
+    /// An empty query vector, reused when one is spare.
+    pub(crate) fn take_buf(&mut self) -> Vec<Query> {
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Returns an emptied query vector for reuse.
+    pub(crate) fn put_buf(&mut self, mut buf: Vec<Query>) {
+        buf.clear();
+        self.spare.push(buf);
+    }
+
+    /// The position of command `cmd` in its method body, as
+    /// [`Stmt::path_to`] finds it; computed once per command and engine.
+    pub(crate) fn cmd_path(&mut self, cmd: CmdId) -> Arc<[usize]> {
+        if self.paths.is_empty() {
+            self.paths.resize(self.program.num_cmds(), None);
+        }
+        if let Some(path) = &self.paths[cmd.index()] {
+            return path.clone();
+        }
+        let body = &self.program.method(self.program.cmd_method(cmd)).body;
+        let path: Arc<[usize]> =
+            body.path_to(cmd).expect("command not found in its own method body").into();
+        self.paths[cmd.index()] = Some(path.clone());
+        path
     }
 
     /// The active configuration.
@@ -339,22 +377,19 @@ impl<'a> Engine<'a> {
         let _span = obs::span_with(obs::SpanKind::Path, || self.program.describe_cmd(start));
         self.charge(1)?;
         let method = self.program.cmd_method(start);
-        let path = self
-            .program
-            .method(method)
-            .body
-            .path_to(start)
-            .expect("command not found in its own method body");
+        let path = self.cmd_path(start);
         self.call_chain.clear();
         self.caller_depth = 0;
         // Borrow the body straight out of the shared program (lifetime 'a,
         // decoupled from `self`) instead of cloning the statement tree.
         let program = self.program;
         let body = &program.method(method).body;
-        let qs = self.back_pos(body, &path, q0, include_cmd)?;
-        for q in qs {
+        let mut qs = self.take_buf();
+        self.back_pos(body, &path, q0, include_cmd, &mut qs)?;
+        for q in qs.drain(..) {
             self.propagate_up(method, q)?;
         }
+        self.put_buf(qs);
         Ok(())
     }
 
@@ -398,137 +433,169 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Executes backwards from the position `path` inside `stmt` (the
-    /// command at that position is applied iff `include_cmd`), returning
-    /// the queries at the entry of `stmt`.
+    /// command at that position is applied iff `include_cmd`), appending
+    /// the queries at the entry of `stmt` to `out`.
     pub(crate) fn back_pos(
         &mut self,
         stmt: &Stmt,
         path: &[usize],
         q: Query,
         include_cmd: bool,
+        out: &mut Vec<Query>,
     ) -> Flow {
         match stmt {
             Stmt::Cmd(c) => {
                 debug_assert!(path.is_empty());
                 if include_cmd {
-                    self.exec_cmd_back(*c, q)
+                    self.exec_cmd_back(*c, q, out)
                 } else {
-                    Ok(vec![q])
+                    out.push(q);
+                    Ok(())
                 }
             }
-            Stmt::Skip => Ok(vec![q]),
+            Stmt::Skip => {
+                out.push(q);
+                Ok(())
+            }
             Stmt::Seq(ss) => {
                 let i = path[0];
-                let mut qs = self.back_pos(&ss[i], &path[1..], q, include_cmd)?;
+                let mut qs = self.take_buf();
+                self.back_pos(&ss[i], &path[1..], q, include_cmd, &mut qs)?;
+                // Once no query survives, the earlier statements cannot
+                // revive one: stop walking.
                 for child in ss[..i].iter().rev() {
-                    qs = self.exec_many(child, qs)?;
+                    if qs.is_empty() {
+                        break;
+                    }
+                    self.exec_many(child, &mut qs)?;
                 }
-                Ok(qs)
+                out.append(&mut qs);
+                self.put_buf(qs);
+                Ok(())
             }
             Stmt::If { cond, then_br, else_br } => {
                 let branch = path[0];
                 let child = if branch == 0 { then_br } else { else_br };
-                let qs = self.back_pos(child, &path[1..], q, include_cmd)?;
+                let mut qs = self.take_buf();
+                self.back_pos(child, &path[1..], q, include_cmd, &mut qs)?;
                 let guard = if branch == 0 { cond.clone() } else { cond.negate() };
-                let mut out = Vec::new();
-                for q in qs {
-                    match self.apply_cond(&guard, q) {
-                        Ok(Some(q2)) => out.push(q2),
-                        Ok(None) => {}
-                        Err(stop) => return Err(stop),
-                    }
+                for q in qs.drain(..) {
+                    out.extend(self.apply_cond(&guard, q)?);
                 }
-                Ok(out)
+                self.put_buf(qs);
+                Ok(())
             }
             Stmt::Choice(a, b) => {
                 let branch = path[0];
                 let child = if branch == 0 { a } else { b };
-                self.back_pos(child, &path[1..], q, include_cmd)
+                self.back_pos(child, &path[1..], q, include_cmd, out)
             }
             Stmt::While { cond, body } => {
                 // Starting inside the body: walk back to the body entry,
                 // then account for any number of preceding full iterations.
-                let seed = self.back_pos(body, &path[1..], q, include_cmd)?;
-                self.loop_fixpoint(Some(cond), body, seed)
+                let mut seed = self.take_buf();
+                self.back_pos(body, &path[1..], q, include_cmd, &mut seed)?;
+                self.loop_fixpoint(Some(cond), body, &mut seed)?;
+                out.append(&mut seed);
+                self.put_buf(seed);
+                Ok(())
             }
             Stmt::Loop(body) => {
-                let seed = self.back_pos(body, &path[1..], q, include_cmd)?;
-                self.loop_fixpoint(None, body, seed)
+                let mut seed = self.take_buf();
+                self.back_pos(body, &path[1..], q, include_cmd, &mut seed)?;
+                self.loop_fixpoint(None, body, &mut seed)?;
+                out.append(&mut seed);
+                self.put_buf(seed);
+                Ok(())
             }
         }
     }
 
-    /// Executes `stmt` backwards for every query in `qs`.
-    pub(crate) fn exec_many(&mut self, stmt: &Stmt, qs: Vec<Query>) -> Flow {
-        let mut out = Vec::new();
-        for q in qs {
-            out.extend(self.exec_stmt_back(stmt, q)?);
+    /// Executes `stmt` backwards for every query in `qs`, replacing them
+    /// with the surviving pre-queries.
+    pub(crate) fn exec_many(&mut self, stmt: &Stmt, qs: &mut Vec<Query>) -> Flow {
+        let mut next = self.take_buf();
+        for q in qs.drain(..) {
+            self.exec_stmt_back(stmt, q, &mut next)?;
         }
-        Ok(out)
+        std::mem::swap(qs, &mut next);
+        self.put_buf(next);
+        Ok(())
     }
 
     /// Executes one whole statement backwards: given the post-query `q`,
-    /// returns the surviving pre-queries.
-    pub(crate) fn exec_stmt_back(&mut self, stmt: &Stmt, q: Query) -> Flow {
+    /// appends the surviving pre-queries to `out`.
+    pub(crate) fn exec_stmt_back(&mut self, stmt: &Stmt, q: Query, out: &mut Vec<Query>) -> Flow {
         match stmt {
-            Stmt::Skip => Ok(vec![q]),
-            Stmt::Cmd(c) => self.exec_cmd_back(*c, q),
+            Stmt::Skip => {
+                out.push(q);
+                Ok(())
+            }
+            Stmt::Cmd(c) => self.exec_cmd_back(*c, q, out),
             Stmt::Seq(ss) => {
-                let mut qs = vec![q];
+                let mut qs = self.take_buf();
+                qs.push(q);
                 for child in ss.iter().rev() {
-                    qs = self.exec_many(child, qs)?;
+                    self.exec_many(child, &mut qs)?;
                     if qs.is_empty() {
                         break;
                     }
                 }
-                Ok(qs)
+                out.append(&mut qs);
+                self.put_buf(qs);
+                Ok(())
             }
             Stmt::If { cond, then_br, else_br } => {
                 self.charge(1)?; // the extra branch is a fork
-                let then_qs = self.exec_stmt_back(then_br, q.clone())?;
-                let else_qs = self.exec_stmt_back(else_br, q.clone())?;
+                let mut then_qs = self.take_buf();
+                self.exec_stmt_back(then_br, q.clone(), &mut then_qs)?;
+                // The else branch takes `q` itself: when the then branch
+                // left its query untouched, that query stands in for `q`.
+                let then_untouched = then_qs.len() == 1 && then_qs[0].same_constraints(&q);
+                let mut else_qs = self.take_buf();
+                self.exec_stmt_back(else_br, q, &mut else_qs)?;
                 // If neither branch touched the query, the guard is
                 // irrelevant path-sensitivity: keep one copy, no constraint
                 // (§3.2, following ESP/PSE).
-                let untouched = |qs: &[Query]| qs.len() == 1 && qs[0].same_constraints(&q);
-                if untouched(&then_qs) && untouched(&else_qs) {
-                    return Ok(then_qs);
-                }
-                let mut out = Vec::new();
-                for tq in then_qs {
-                    match self.apply_cond(cond, tq) {
-                        Ok(Some(q2)) => out.push(q2),
-                        Ok(None) => {}
-                        Err(stop) => return Err(stop),
+                if then_untouched && else_qs.len() == 1 && else_qs[0].same_constraints(&then_qs[0])
+                {
+                    out.append(&mut then_qs);
+                } else {
+                    for tq in then_qs.drain(..) {
+                        out.extend(self.apply_cond(cond, tq)?);
+                    }
+                    let neg = cond.negate();
+                    for eq in else_qs.drain(..) {
+                        out.extend(self.apply_cond(&neg, eq)?);
                     }
                 }
-                let neg = cond.negate();
-                for eq in else_qs {
-                    match self.apply_cond(&neg, eq) {
-                        Ok(Some(q2)) => out.push(q2),
-                        Ok(None) => {}
-                        Err(stop) => return Err(stop),
-                    }
-                }
-                Ok(out)
+                self.put_buf(then_qs);
+                self.put_buf(else_qs);
+                Ok(())
             }
             Stmt::Choice(a, b) => {
                 self.charge(1)?;
-                let mut out = self.exec_stmt_back(a, q.clone())?;
-                out.extend(self.exec_stmt_back(b, q)?);
-                Ok(out)
+                self.exec_stmt_back(a, q.clone(), out)?;
+                self.exec_stmt_back(b, q, out)
             }
             Stmt::While { cond, body } => {
                 // Zero or more iterations; after the loop ¬cond holds.
-                let mut seed = Vec::new();
-                match self.apply_cond(&cond.negate(), q) {
-                    Ok(Some(q2)) => seed.push(q2),
-                    Ok(None) => return Ok(Vec::new()),
-                    Err(stop) => return Err(stop),
-                }
-                self.loop_fixpoint(Some(cond), body, seed)
+                let Some(q2) = self.apply_cond(&cond.negate(), q)? else { return Ok(()) };
+                let mut set = self.take_buf();
+                set.push(q2);
+                self.loop_fixpoint(Some(cond), body, &mut set)?;
+                out.append(&mut set);
+                self.put_buf(set);
+                Ok(())
             }
-            Stmt::Loop(body) => self.loop_fixpoint(None, body, vec![q]),
+            Stmt::Loop(body) => {
+                let mut set = self.take_buf();
+                set.push(q);
+                self.loop_fixpoint(None, body, &mut set)?;
+                out.append(&mut set);
+                self.put_buf(set);
+                Ok(())
+            }
         }
     }
 
@@ -537,7 +604,7 @@ impl<'a> Engine<'a> {
     // ------------------------------------------------------------------
 
     /// Backwards transfer for a call command.
-    pub(crate) fn exec_call_back(&mut self, cmd_id: CmdId, q: Query) -> Flow {
+    pub(crate) fn exec_call_back(&mut self, cmd_id: CmdId, q: Query, out: &mut Vec<Query>) -> Flow {
         let Command::Call { dst, callee: _, .. } = self.program.cmd(cmd_id) else {
             unreachable!("exec_call_back on non-call");
         };
@@ -549,14 +616,14 @@ impl<'a> Engine<'a> {
         // that writes `contents` of map arrays cannot affect a query cell
         // over a vec array, even though the field matches.
         let dst_relevant = dst.map(|d| q.locals.contains_key(&d)).unwrap_or(false);
-        let globals = q.global_footprint();
         let mods_relevant = targets.iter().any(|&t| {
-            !self.modref.mod_globals(t).is_disjoint(&globals)
+            q.statics.keys().any(|g| self.modref.mod_globals(t).contains(g.index()))
                 || q.heap.iter().any(|cell| self.cell_may_be_written(t, cell, &q))
         });
         if !dst_relevant && !mods_relevant {
             self.stats.add_call_skipped_irrelevant();
-            return Ok(vec![q]);
+            out.push(q);
+            return Ok(());
         }
 
         // Depth bound / recursion / unresolved targets: skip soundly by
@@ -565,31 +632,42 @@ impl<'a> Engine<'a> {
         let recursive = targets.iter().any(|t| self.call_chain.contains(t));
         if too_deep || recursive || targets.is_empty() {
             self.stats.add_call_skipped_depth();
-            return Ok(vec![self.skip_call(cmd_id, targets, q)]);
+            out.push(self.skip_call(cmd_id, targets, q));
+            return Ok(());
         }
 
         if targets.len() > 1 {
             self.charge(targets.len() as u64 - 1)?;
         }
-        let mut out = Vec::new();
-        for &t in targets {
-            let mut qt = q.clone();
+        let mut entry_qs = self.take_buf();
+        let mut q = Some(q);
+        for (k, &t) in targets.iter().enumerate() {
+            // The last target takes the query itself.
+            let qt = if k + 1 == targets.len() { q.take() } else { q.clone() };
+            let mut qt = qt.expect("only the last target takes the query");
             // Receiver narrowing: only locations that dispatch to `t` are
             // compatible with taking this target.
             if let Some(recv_var) = self.call_receiver(cmd_id) {
                 if let Some(&Val::Sym(s)) = qt.locals.get(&recv_var) {
-                    let dl = self.dispatch_locs(cmd_id, t);
-                    if self.config.representation != Representation::FullySymbolic {
+                    let mut dl = std::mem::take(&mut self.scratch);
+                    self.dispatch_locs(cmd_id, t, &mut dl);
+                    let ok = if self.config.representation != Representation::FullySymbolic {
                         match qt.narrow(s, &dl) {
-                            Ok(()) => {}
+                            Ok(()) => true,
                             Err(r) => {
                                 self.stats.count_refutation(r);
-                                continue;
+                                false
                             }
                         }
-                    } else if qt.region(s).as_locs().map(|l| l.is_disjoint(&dl)).unwrap_or(true) {
+                    } else if qt.region(s).as_locs().is_none_or(|l| l.is_disjoint(&dl)) {
                         // PSE-style oracle check without narrowing.
                         self.stats.count_refutation(Refuted::EmptyRegion);
+                        false
+                    } else {
+                        true
+                    };
+                    self.scratch = dl;
+                    if !ok {
                         continue;
                     }
                 } else if let Some(&Val::Null) = qt.locals.get(&recv_var) {
@@ -602,27 +680,24 @@ impl<'a> Engine<'a> {
             // return.
             debug_assert!(qt.ret_slot.is_none());
             if let Some(d) = dst {
-                qt.ret_slot = q.locals.get(d).copied();
-                qt.locals.remove(d);
+                qt.ret_slot = qt.locals.remove(d);
             }
             self.call_chain.push(t);
             let program = self.program;
             let body = &program.method(t).body;
-            let entry_qs = self.exec_stmt_back(body, qt);
+            let entered = self.exec_stmt_back(body, qt, &mut entry_qs);
             self.call_chain.pop();
-            for mut qe in entry_qs? {
+            entered?;
+            for mut qe in entry_qs.drain(..) {
                 // A pending return that was never consumed means the callee
                 // cannot produce the required value along this path — but
                 // dropping the constraint is the sound over-approximation.
                 qe.ret_slot = None;
-                match self.bind_params(cmd_id, t, qe) {
-                    Ok(Some(q2)) => out.push(q2),
-                    Ok(None) => {}
-                    Err(stop) => return Err(stop),
-                }
+                out.extend(self.bind_params(cmd_id, t, qe)?);
             }
         }
-        Ok(out)
+        self.put_buf(entry_qs);
+        Ok(())
     }
 
     /// The receiver variable of a call, if it is an instance-method call.
@@ -643,18 +718,15 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Receiver locations (among `pt(receiver)`) that dispatch to `target`.
-    fn dispatch_locs(&self, cmd_id: CmdId, target: MethodId) -> BitSet {
+    /// Receiver locations (among `pt(receiver)`) that dispatch to `target`,
+    /// written to `out`.
+    fn dispatch_locs(&self, cmd_id: CmdId, target: MethodId, out: &mut BitSet) {
         let Command::Call { callee, .. } = self.program.cmd(cmd_id) else {
             unreachable!();
         };
-        let recv = self.call_receiver(cmd_id);
-        let recv_pt = match recv {
-            Some(r) => self.pta.pt_var(r).clone(),
-            None => return BitSet::new(),
-        };
-        let mut out = BitSet::new();
-        for l in recv_pt.iter() {
+        out.clear();
+        let Some(recv) = self.call_receiver(cmd_id) else { return };
+        for l in self.pta.pt_var(recv).iter() {
             let class = self.pta.class_of(LocId(l as u32));
             let ok = match callee {
                 Callee::Virtual { method, .. } => {
@@ -669,7 +741,6 @@ impl<'a> Engine<'a> {
                 out.insert(l);
             }
         }
-        out
     }
 
     /// True if method `t` may write the concrete cell described by `cell`
@@ -677,9 +748,11 @@ impl<'a> Engine<'a> {
     /// location-sensitive write summary).
     fn cell_may_be_written(&self, t: MethodId, cell: &crate::query::HeapCell, q: &Query) -> bool {
         match q.region(cell.obj).as_locs() {
-            Some(locs) => self.modref.may_write_cell(t, cell.field, locs),
+            Some(locs) => {
+                self.modref.mod_cell_locs(t, cell.field).is_some_and(|w| !locs.is_disjoint(w))
+            }
             // Data-region owner cannot occur; be conservative.
-            None => !self.modref.mod_fields(t).is_disjoint(&BitSet::singleton(cell.field.index())),
+            None => self.modref.mod_fields(t).contains(cell.field.index()),
         }
     }
 
@@ -700,13 +773,15 @@ impl<'a> Engine<'a> {
             q.heap.clear();
             q.statics.clear();
         } else {
-            let cells: Vec<crate::query::HeapCell> = q.heap.clone();
-            let keep: Vec<bool> = cells
-                .iter()
-                .map(|cell| !targets.iter().any(|&t| self.cell_may_be_written(t, cell, &q)))
-                .collect();
-            let mut it = keep.iter();
-            q.heap.retain(|_| *it.next().expect("keep flag"));
+            let mut i = 0;
+            while i < q.heap.len() {
+                let cell = q.heap[i];
+                if targets.iter().any(|&t| self.cell_may_be_written(t, &cell, &q)) {
+                    q.heap.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
             q.statics.retain(|g, _| !mod_globals.contains(g.index()));
         }
         q.gc();
@@ -733,26 +808,16 @@ impl<'a> Engine<'a> {
         q.record(cmd_id);
         let callee_m = program.method(callee);
         let is_instance = callee_m.class.is_some();
-        // Assemble (param, actual) pairs including the receiver.
-        let mut pairs: Vec<(VarId, Operand)> = Vec::new();
-        match (ckind, is_instance) {
+        // The (param, actual) pairs, including the receiver of a virtual
+        // call.
+        let receiver = match (ckind, is_instance) {
             (Callee::Virtual { receiver, .. }, true) => {
-                pairs.push((callee_m.params[0], Operand::Var(*receiver)));
-                for (p, a) in callee_m.params[1..].iter().zip(args.iter()) {
-                    pairs.push((*p, *a));
-                }
+                Some((callee_m.params[0], Operand::Var(*receiver)))
             }
-            (Callee::Static { .. }, true) => {
-                for (p, a) in callee_m.params.iter().zip(args.iter()) {
-                    pairs.push((*p, *a));
-                }
-            }
-            (_, false) => {
-                for (p, a) in callee_m.params.iter().zip(args.iter()) {
-                    pairs.push((*p, *a));
-                }
-            }
-        }
+            _ => None,
+        };
+        let params = &callee_m.params[usize::from(receiver.is_some())..];
+        let pairs = receiver.into_iter().chain(params.iter().copied().zip(args.iter().copied()));
         for (param, actual) in pairs {
             let Some(v) = q.locals.remove(&param) else { continue };
             let res = self.bind_value_to_operand(&mut q, v, actual);
@@ -776,8 +841,11 @@ impl<'a> Engine<'a> {
         if let (Callee::Virtual { receiver, .. }, true) = (ckind, is_instance) {
             if let Some(&Val::Sym(s)) = q.locals.get(receiver) {
                 if self.config.representation != Representation::FullySymbolic {
-                    let dl = self.dispatch_locs(cmd_id, callee);
-                    if let Err(r) = q.narrow(s, &dl) {
+                    let mut dl = std::mem::take(&mut self.scratch);
+                    self.dispatch_locs(cmd_id, callee, &mut dl);
+                    let narrowed = q.narrow(s, &dl);
+                    self.scratch = dl;
+                    if let Err(r) = narrowed {
                         self.stats.count_refutation(r);
                         return Ok(None);
                     }
@@ -831,7 +899,7 @@ impl<'a> Engine<'a> {
                     // The variable can never hold an instance.
                     return Err(Refuted::EmptyRegion);
                 }
-                Val::Sym(q.fresh_sym(Region::locs(pt.clone())))
+                Val::Sym(q.fresh_sym_in(pt))
             }
         };
         q.locals.insert(var, v);
@@ -885,37 +953,40 @@ impl<'a> Engine<'a> {
         if callers.len() > 1 {
             self.charge(callers.len() as u64 - 1)?;
         }
-        for &c in callers {
+        let mut q = Some(q);
+        for (k, &c) in callers.iter().enumerate() {
             let caller_m = self.program.cmd_method(c);
-            let Some(q2) = self.bind_params(c, method, q.clone())? else { continue };
+            // The last caller takes the query itself.
+            let qc = if k + 1 == callers.len() { q.take() } else { q.clone() };
+            let qc = qc.expect("only the last caller takes the query");
+            let Some(q2) = self.bind_params(c, method, qc)? else { continue };
             let program = self.program;
             let body = &program.method(caller_m).body;
-            let path = body.path_to(c).expect("call site in caller body");
+            let path = self.cmd_path(c);
             self.caller_depth += 1;
             let saved_chain = std::mem::take(&mut self.call_chain);
-            let qs = self.back_pos(body, &path, q2, false);
+            let mut qs = self.take_buf();
+            let walked = self.back_pos(body, &path, q2, false, &mut qs);
             self.call_chain = saved_chain;
-            let qs = match qs {
-                Ok(qs) => qs,
-                Err(stop) => {
-                    self.caller_depth -= 1;
-                    return Err(stop);
-                }
-            };
-            for q3 in qs {
-                if let Err(stop) = self.propagate_up(caller_m, q3) {
-                    self.caller_depth -= 1;
-                    return Err(stop);
+            let mut result = walked;
+            if result.is_ok() {
+                for q3 in qs.drain(..) {
+                    result = self.propagate_up(caller_m, q3);
+                    if result.is_err() {
+                        break;
+                    }
                 }
             }
             self.caller_depth -= 1;
+            self.put_buf(qs);
+            result?;
         }
         Ok(())
     }
 
     /// Builds a witness record from a discharged or entry-satisfiable query.
     pub(crate) fn make_witness(&self, q: &Query) -> Witness {
-        Witness { trace: q.trace.clone(), final_query: q.describe(self.program) }
+        Witness { trace: q.trace(), final_query: q.describe(self.program) }
     }
 }
 
@@ -940,5 +1011,71 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pta::ContextPolicy;
+    use tir::ProgramBuilder;
+
+    fn engine_for<'a>(program: &'a Program, pta: &'a PtaResult, modref: &'a ModRef) -> Engine<'a> {
+        Engine::new(program, pta, modref, SymexConfig::default())
+    }
+
+    #[test]
+    fn memoized_paths_match_path_to_on_every_corpus_command() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .expect("corpus directory")
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "tir"))
+            .collect();
+        files.sort();
+        assert!(files.len() >= 7, "corpus files missing: {files:?}");
+        for file in files {
+            let src = std::fs::read_to_string(&file).expect("read corpus file");
+            let program = tir::parse(&src).expect("corpus file parses");
+            let pta = pta::analyze(&program, ContextPolicy::Insensitive);
+            let modref = ModRef::compute(&program, &pta);
+            let mut engine = engine_for(&program, &pta, &modref);
+            for i in 0..program.num_cmds() {
+                let cmd = CmdId::from_index(i);
+                let body = &program.method(program.cmd_method(cmd)).body;
+                let expected = body.path_to(cmd).expect("every command sits in its method body");
+                // The first lookup computes the path, the second hits the
+                // memo; both must be `path_to`'s answer.
+                assert_eq!(*engine.cmd_path(cmd), expected[..], "{}: cmd {i}", file.display());
+                assert_eq!(*engine.cmd_path(cmd), expected[..], "{}: cmd {i}", file.display());
+            }
+        }
+    }
+
+    /// A query refuted by the last statement of a long sequence ends the
+    /// walk: none of the 2,000 earlier statements runs.
+    #[test]
+    fn search_stops_walking_a_seq_once_no_query_survives() {
+        let mut b = ProgramBuilder::new();
+        let mut last = None;
+        let main = b.method(None, "main", &[], None, |mb| {
+            let x = mb.var("x", Ty::Int);
+            let y = mb.var("y", Ty::Int);
+            for _ in 0..2000 {
+                mb.assign(y, x);
+            }
+            last = Some((mb.assign(x, 2), x));
+        });
+        b.set_entry(main);
+        let program = b.finish();
+        let (last, x) = last.expect("builder ran");
+        let pta = pta::analyze(&program, ContextPolicy::Insensitive);
+        let modref = ModRef::compute(&program, &pta);
+        let mut engine = engine_for(&program, &pta, &modref);
+        // `x = 5` after `x = 2` cannot hold.
+        let mut q0 = Query::new();
+        q0.locals.insert(x, Val::Int(5));
+        assert!(engine.search_from(last, q0, true).is_ok(), "the path program is refuted");
+        assert_eq!(engine.stats.cmds_executed, 1);
     }
 }

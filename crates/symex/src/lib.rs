@@ -76,8 +76,8 @@ pub use parallel::{
 pub use persist::{
     CacheMode, DecisionStore, Fingerprinter, MethodHashCache, PersistedDecision, StoreLimits,
 };
-pub use query::{HeapCell, Query, Refuted};
-pub use region::Region;
+pub use query::{FlatMap, HeapCell, Query, Refuted};
+pub use region::{LocSet, Region, RegionRef};
 pub use replay::{validate_witness, ReplayVerdict};
 pub use stats::{AbortCounts, RefutationCounts, SearchOutcome, SearchStats, StopReason, Witness};
 pub use value::{SymId, Val};

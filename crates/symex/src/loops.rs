@@ -19,8 +19,6 @@
 //! All three devices only ever *weaken* queries, preserving refutation
 //! soundness (Theorem 1).
 
-use std::collections::HashMap;
-
 use pta::BitSet;
 use tir::{Cond, FieldId, Stmt};
 
@@ -30,66 +28,66 @@ use crate::query::Query;
 
 impl Engine<'_> {
     /// Computes the loop-head query set for a loop with optional guard
-    /// `cond` and body `body`, seeded by `seed` (queries already at the
-    /// loop head). Returns the queries that flow out of the loop backwards
-    /// (to the program point before the loop).
+    /// `cond` and body `body`, seeded by the queries in `qs` (already at
+    /// the loop head). Replaces them with the queries that flow out of the
+    /// loop backwards (to the program point before the loop).
     pub(crate) fn loop_fixpoint(
         &mut self,
         cond: Option<&Cond>,
         body: &Stmt,
-        seed: Vec<Query>,
+        qs: &mut Vec<Query>,
     ) -> Flow {
-        if seed.is_empty() {
-            return Ok(Vec::new());
+        if qs.is_empty() {
+            return Ok(());
         }
         self.stats.add_loop_fixpoint();
-        let _span = obs::span_with(obs::SpanKind::LoopFixpoint, || format!("seed={}", seed.len()));
+        let _span = obs::span_with(obs::SpanKind::LoopFixpoint, || format!("seed={}", qs.len()));
         if self.config.loop_mode == LoopMode::DropAll {
-            let mut out = Vec::new();
-            for q in seed {
-                out.push(self.drop_loop_affected(body, q));
+            for q in qs.iter_mut() {
+                self.drop_loop_affected(body, q);
             }
-            return Ok(out);
+            return Ok(());
         }
 
-        // Per-field materialization budget relative to the seed.
-        let mut cell_cap: HashMap<FieldId, usize> = HashMap::new();
-        for q in &seed {
-            let mut counts: HashMap<FieldId, usize> = HashMap::new();
+        // Per-field materialization budget relative to the seed: the
+        // largest number of cells any seed holds for the field.
+        let mut cell_cap: Vec<(FieldId, usize)> = Vec::new();
+        for q in qs.iter() {
             for c in &q.heap {
-                *counts.entry(c.field).or_insert(0) += 1;
-            }
-            for (f, n) in counts {
-                let e = cell_cap.entry(f).or_insert(0);
-                *e = (*e).max(n);
+                let n = q.heap.iter().filter(|d| d.field == c.field).count();
+                match cell_cap.iter_mut().find(|(f, _)| *f == c.field) {
+                    Some((_, cap)) => *cap = (*cap).max(n),
+                    None => cell_cap.push((c.field, n)),
+                }
             }
         }
         let strict = self.config.representation == Representation::FullySymbolic;
 
-        let mut set: Vec<Query> = Vec::new();
+        let mut set = self.take_buf();
         let mut work: Vec<(Query, usize)> = Vec::new();
-        let mut marks: Vec<u32> = Vec::new();
-        for mut q in seed {
+        // Widening discards constraints over values first materialized
+        // inside the loop analysis; constraints over loop-invariant values
+        // survive (the paper drops only "pure constraints that may be
+        // modified by the loop").
+        let mut mark = None;
+        for mut q in qs.drain(..) {
             if let Err(r) = self.normalize_cells(&mut q) {
                 self.stats.count_refutation(r);
                 continue;
             }
             q.gc();
             if !subsumed_by(&set, &q, strict) {
-                marks.push(q.sym_mark());
+                mark = Some(mark.unwrap_or(u32::MAX).min(q.sym_mark()));
                 set.push(q.clone());
                 work.push((q, 0));
             }
         }
-        // Widening discards constraints over values first materialized
-        // inside the loop analysis; constraints over loop-invariant values
-        // survive (the paper drops only "pure constraints that may be
-        // modified by the loop").
-        let mark = marks.iter().copied().min().unwrap_or(0);
+        let mark = mark.unwrap_or(0);
+        let mut stepped = self.take_buf();
         while let Some((q, round)) = work.pop() {
             // One more backwards pass over (assume cond; body).
-            let stepped = self.exec_stmt_back(body, q)?;
-            for mut q2 in stepped {
+            self.exec_stmt_back(body, q, &mut stepped)?;
+            for mut q2 in stepped.drain(..) {
                 if let Some(c) = cond {
                     match self.apply_cond(c, q2)? {
                         Some(next) => q2 = next,
@@ -97,7 +95,7 @@ impl Engine<'_> {
                     }
                 }
                 // Materialization bound: trim per-field cell growth.
-                self.enforce_cell_cap(&mut q2, &cell_cap);
+                enforce_cell_cap(&mut q2, &cell_cap);
                 // Widening: past the iteration cap, drop loop-derived pure
                 // constraints.
                 if round + 1 >= LOOP_ITER_CAP {
@@ -107,7 +105,7 @@ impl Engine<'_> {
                 // Fallback: far past the cap, weaken to the drop-all state.
                 if round + 1 >= 3 * LOOP_ITER_CAP {
                     obs::add(obs::Counter::LoopDropAllFallbacks, 1);
-                    q2 = self.drop_loop_affected(body, q2);
+                    self.drop_loop_affected(body, &mut q2);
                 }
                 q2.gc();
                 if !subsumed_by(&set, &q2, strict) {
@@ -122,54 +120,25 @@ impl Engine<'_> {
                 }
             }
         }
-        Ok(set)
-    }
-
-    /// Trims heap cells of `q` so no field exceeds its seed count plus the
-    /// materialization bound. Newest cells (appended last) are dropped
-    /// first — a sound weakening.
-    fn enforce_cell_cap(&mut self, q: &mut Query, cell_cap: &HashMap<FieldId, usize>) {
-        let mut counts: HashMap<FieldId, usize> = HashMap::new();
-        for c in &q.heap {
-            *counts.entry(c.field).or_insert(0) += 1;
-        }
-        let mut excess: HashMap<FieldId, usize> = HashMap::new();
-        for (f, n) in counts {
-            let cap = cell_cap.get(&f).copied().unwrap_or(0) + MATERIALIZATION_BOUND;
-            if n > cap {
-                excess.insert(f, n - cap);
-            }
-        }
-        if excess.is_empty() {
-            return;
-        }
-        // Drop from the back (most recently materialized).
-        let mut i = q.heap.len();
-        while i > 0 {
-            i -= 1;
-            let f = q.heap[i].field;
-            if let Some(e) = excess.get_mut(&f) {
-                if *e > 0 {
-                    q.heap.remove(i);
-                    *e -= 1;
-                }
-            }
-        }
+        self.put_buf(stepped);
+        std::mem::swap(qs, &mut set);
+        self.put_buf(set);
+        Ok(())
     }
 
     /// The drop-all weakening (hypothesis-3 ablation, also the widening
     /// fallback): removes every constraint the loop body may modify —
     /// bindings of assigned locals, heap cells of written fields, written
     /// globals — then garbage-collects dangling pure constraints.
-    pub(crate) fn drop_loop_affected(&mut self, body: &Stmt, mut q: Query) -> Query {
-        let mut mod_fields = BitSet::new();
+    pub(crate) fn drop_loop_affected(&mut self, body: &Stmt, q: &mut Query) {
+        let mut mod_fields = std::mem::take(&mut self.scratch);
+        mod_fields.clear();
         let mut mod_globals = BitSet::new();
-        let mut assigned: Vec<tir::VarId> = Vec::new();
         let program = self.program;
         body.for_each_cmd(&mut |c| {
             let cmd = program.cmd(c);
             if let Some(d) = cmd.def() {
-                assigned.push(d);
+                q.locals.remove(&d);
             }
             match cmd {
                 tir::Command::WriteField { field, .. } => {
@@ -190,14 +159,27 @@ impl Engine<'_> {
                 _ => {}
             }
         });
-        for v in assigned {
-            q.locals.remove(&v);
-        }
         q.heap.retain(|c| !mod_fields.contains(c.field.index()));
         q.statics.retain(|g, _| !mod_globals.contains(g.index()));
-        q.path = Default::default();
+        q.clear_path();
         q.gc();
-        q
+        self.scratch = mod_fields;
+    }
+}
+
+/// Trims heap cells of `q` so no field exceeds its seed count in
+/// `cell_cap` plus the materialization bound. Newest cells (appended last)
+/// are dropped first — a sound weakening.
+fn enforce_cell_cap(q: &mut Query, cell_cap: &[(FieldId, usize)]) {
+    let mut i = 0;
+    while i < q.heap.len() {
+        let f = q.heap[i].field;
+        let seed = cell_cap.iter().find(|(g, _)| *g == f).map_or(0, |&(_, n)| n);
+        if q.heap[..i].iter().filter(|c| c.field == f).count() >= seed + MATERIALIZATION_BOUND {
+            q.heap.remove(i);
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -215,7 +197,7 @@ mod tests {
     use crate::region::Region;
     use crate::value::Val;
     use pta::{ContextPolicy, HeapEdge, LocId, ModRef, PtaResult};
-    use solver::Term;
+    use solver::{Atom, Term};
     use tir::{AllocId, BinOp, CmpOp, GlobalId, Program, ProgramBuilder, Ty, VarId};
 
     /// A hand-built loop program:
@@ -295,7 +277,7 @@ mod tests {
         q.heap.push(HeapCell { obj: sn, field: lp.val_f, val: Val::Sym(so), idx: None });
         q.heap.push(HeapCell { obj: sn, field: lp.next_f, val: Val::Sym(sn), idx: None });
         q.statics.insert(lp.out_g, Val::Sym(so));
-        q.path.add(CmpOp::Ne, Term::sym(so.0), Term::int(0));
+        q.add_path_atom(Atom::new(CmpOp::Ne, Term::sym(so.0), Term::int(0)), 2).unwrap();
         q
     }
 
@@ -327,8 +309,9 @@ mod tests {
         let main = lp.program.method(lp.program.entry());
         let (cond, body) = find_while(&main.body).expect("main has a while loop");
         let seed = seed_query(&lp, &pta);
-        let out = engine
-            .loop_fixpoint(Some(cond), body, vec![seed.clone()])
+        let mut out = vec![seed.clone()];
+        engine
+            .loop_fixpoint(Some(cond), body, &mut out)
             .expect("fixpoint terminates within the default budget");
         assert!(!out.is_empty(), "the saturated set lost the seed");
         // Soundness shape of the fixed point: some member is weaker than
@@ -347,14 +330,15 @@ mod tests {
         let mut engine = Engine::new(&lp.program, &pta, &modref, SymexConfig::default());
         let main = lp.program.method(lp.program.entry());
         let (_, body) = find_while(&main.body).expect("main has a while loop");
-        let q = engine.drop_loop_affected(body, seed_query(&lp, &pta));
+        let mut q = seed_query(&lp, &pta);
+        engine.drop_loop_affected(body, &mut q);
         // Loop-modified state is gone...
         assert!(!q.locals.contains_key(&lp.i), "binding of the loop counter survived");
         assert!(
             q.heap.iter().all(|c| c.field != lp.val_f),
             "cell of the loop-written field survived"
         );
-        assert!(q.path.is_empty(), "pure path constraints must be dropped");
+        assert!(q.path().is_empty(), "pure path constraints must be dropped");
         // ...while loop-invariant state survives.
         assert!(q.locals.contains_key(&lp.n), "binding of an untouched local was lost");
         assert!(
@@ -373,19 +357,17 @@ mod tests {
         let mut engine = Engine::new(&lp.program, &pta, &modref, cfg);
         let main = lp.program.method(lp.program.entry());
         let (cond, body) = find_while(&main.body).expect("main has a while loop");
-        let seed = seed_query(&lp, &pta);
-        let out = engine.loop_fixpoint(Some(cond), body, vec![seed]).expect("no fixpoint needed");
+        let mut out = vec![seed_query(&lp, &pta)];
+        engine.loop_fixpoint(Some(cond), body, &mut out).expect("no fixpoint needed");
         assert_eq!(out.len(), 1, "drop-all maps each seed to exactly one weakening");
         assert!(out[0].heap.iter().all(|c| c.field != lp.val_f));
-        assert!(out[0].path.is_empty());
+        assert!(out[0].path().is_empty());
     }
 
     #[test]
     fn materialization_bound_one_trims_newest_cells_only() {
         let lp = loop_program();
         let pta = pta::analyze(&lp.program, ContextPolicy::Insensitive);
-        let modref = ModRef::compute(&lp.program, &pta);
-        let mut engine = Engine::new(&lp.program, &pta, &modref, SymexConfig::default());
         let n_loc = loc_of(&pta, lp.n0).index();
         let o_loc = loc_of(&pta, lp.o0).index();
 
@@ -404,8 +386,7 @@ mod tests {
 
         // Seed had one `val` cell; with the paper's bound of 1 the loop may
         // materialize at most one more. The two *newest* cells go.
-        let cell_cap = HashMap::from([(lp.val_f, 1)]);
-        engine.enforce_cell_cap(&mut q, &cell_cap);
+        enforce_cell_cap(&mut q, &[(lp.val_f, 1)]);
         let val_cells: Vec<_> = q.heap.iter().filter(|c| c.field == lp.val_f).collect();
         assert_eq!(val_cells.len(), 2, "bound 1 allows seed + 1 materialized cell");
         assert_eq!(val_cells[0].obj, owners[0], "oldest cell must survive");

@@ -606,7 +606,7 @@ impl<'a> RefutationScheduler<'a> {
     }
 
     /// Like [`RefutationScheduler::set_store`], but builds the
-    /// fingerprinter through a cross-edit [`MethodHashCache`]: only
+    /// fingerprinter through a cross-edit [`MethodHashCache`](crate::MethodHashCache): only
     /// methods named in `changed` (plus methods new to the cache) are
     /// re-hashed, so attaching the store after an edit-delta solve costs
     /// proportional to the edit, not the program.

@@ -139,7 +139,7 @@ pub struct Fingerprinter<'a> {
 /// cache — need re-hashing; every other method's hash is reused, so
 /// fingerprinting cost tracks the size of the *edit*, not the program.
 ///
-/// Reuse is sound because [`Fingerprinter::hash_method`] reads only
+/// Reuse is sound because the fingerprinter's per-method hash reads only
 /// renumbering-stable inputs (printed text, canonical location names,
 /// callee names), and `changed_methods` conservatively covers every
 /// method whose points-to facts or call targets moved.

@@ -45,11 +45,6 @@ impl Region {
         }
     }
 
-    /// Intersects with a location set.
-    pub fn intersect_locs(&self, locs: &BitSet) -> Region {
-        self.intersect(&Region::Locs(locs.clone()))
-    }
-
     /// Subset check — the entailment of Equation (§) in §3.3:
     /// `(v from r̂1) |= (v from r̂2)` iff `r̂1 ⊆ r̂2`.
     pub fn is_subset(&self, other: &Region) -> bool {
@@ -67,6 +62,104 @@ impl Region {
             Region::Locs(s) => Some(s),
             Region::Data => None,
         }
+    }
+}
+
+/// A query's `from` region, borrowed from the query's flat storage (see
+/// [`Query::region`](crate::Query::region)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RegionRef<'a> {
+    /// Instances drawn from this set of abstract locations.
+    Locs(LocSet<'a>),
+    /// A non-address (integer) value.
+    Data,
+}
+
+impl<'a> RegionRef<'a> {
+    /// The location set, if this is a location region.
+    pub fn as_locs(self) -> Option<LocSet<'a>> {
+        match self {
+            RegionRef::Locs(s) => Some(s),
+            RegionRef::Data => None,
+        }
+    }
+
+    /// Subset check, as [`Region::is_subset`].
+    pub fn is_subset(self, other: RegionRef<'_>) -> bool {
+        match (self, other) {
+            (RegionRef::Locs(a), RegionRef::Locs(b)) => a.is_subset_words(b.0),
+            (RegionRef::Data, RegionRef::Data) => true,
+            (RegionRef::Locs(a), RegionRef::Data) => a.is_empty(),
+            (RegionRef::Data, RegionRef::Locs(_)) => false,
+        }
+    }
+}
+
+/// A location set borrowed as the words of a bitset (element `i` is bit
+/// `i % 64` of word `i / 64`, as in [`BitSet`]).
+#[derive(Clone, Copy)]
+pub struct LocSet<'a>(pub(crate) &'a [u64]);
+
+impl<'a> LocSet<'a> {
+    /// Iterates over the locations in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = usize> + 'a {
+        self.0.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut word = w;
+            std::iter::from_fn(move || {
+                if word == 0 {
+                    return None;
+                }
+                let b = word.trailing_zeros() as usize;
+                word &= word - 1;
+                Some(wi * 64 + b)
+            })
+        })
+    }
+
+    /// Number of locations.
+    pub fn len(self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// True if the set holds no location.
+    pub fn is_empty(self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
+
+    /// True if every location is also in `other`.
+    pub fn is_subset(self, other: &BitSet) -> bool {
+        self.is_subset_words(other.words())
+    }
+
+    /// True if no location is in `other`.
+    pub fn is_disjoint(self, other: &BitSet) -> bool {
+        self.0.iter().zip(other.words()).all(|(a, b)| a & b == 0)
+    }
+
+    /// An owned copy.
+    pub fn to_bitset(self) -> BitSet {
+        self.iter().collect()
+    }
+
+    fn is_subset_words(self, other: &[u64]) -> bool {
+        self.0.iter().enumerate().all(|(i, &w)| w & !other.get(i).copied().unwrap_or(0) == 0)
+    }
+}
+
+impl PartialEq for LocSet<'_> {
+    /// Word-for-word equality, as [`BitSet`]'s: a set that kept trailing
+    /// zero words from a narrowing differs from one built without them.
+    fn eq(&self, other: &LocSet<'_>) -> bool {
+        self.0 == other.0
+    }
+}
+
+impl Eq for LocSet<'_> {}
+
+impl std::fmt::Debug for LocSet<'_> {
+    /// Formats as [`BitSet`] does, e.g. `{3, 5}`.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 

@@ -9,6 +9,7 @@ use tir::{BinOp, CmdId, CmpOp, Command, Cond, FieldId, GlobalId, Operand, VarId}
 use crate::config::{Representation, MAX_HEAP_CELLS, MAX_PATH_ATOMS};
 use crate::engine::{Engine, Flow, Stop};
 use crate::query::{HeapCell, Query, Refuted};
+use crate::region::RegionRef;
 use crate::stats::StopReason;
 use crate::value::Val;
 
@@ -20,9 +21,14 @@ fn trace_cmds() -> bool {
 }
 
 impl Engine<'_> {
-    /// Applies the backwards transfer of one command. Returns the surviving
-    /// pre-queries; an empty vector means every case was refuted.
-    pub(crate) fn exec_cmd_back(&mut self, cmd_id: CmdId, mut q: Query) -> Flow {
+    /// Applies the backwards transfer of one command, appending the
+    /// surviving pre-queries to `out` (none when every case was refuted).
+    pub(crate) fn exec_cmd_back(
+        &mut self,
+        cmd_id: CmdId,
+        mut q: Query,
+        out: &mut Vec<Query>,
+    ) -> Flow {
         self.charge_cmd()?;
         self.stats.add_cmd_executed();
         obs::observe(obs::Hist::HeapCells, q.heap.len() as u64);
@@ -49,19 +55,17 @@ impl Engine<'_> {
         }
         let program = self.program;
         let cmd = program.cmd(cmd_id);
+        let mark = out.len();
         // Calls, writes, and guards manage their own forking/stopping.
-        let qs: Vec<Query> = match cmd {
-            Command::Call { .. } => self.exec_call_back(cmd_id, q)?,
+        match cmd {
+            Command::Call { .. } => self.exec_call_back(cmd_id, q, out)?,
             Command::WriteField { obj, field, src } => {
-                self.exec_write_back(q, *obj, *field, None, *src)?
+                self.exec_write_back(q, *obj, *field, None, *src, out)?
             }
             Command::WriteArray { arr, idx, src } => {
-                self.exec_write_back(q, *arr, program.contents_field, Some(*idx), *src)?
+                self.exec_write_back(q, *arr, program.contents_field, Some(*idx), *src, out)?
             }
-            Command::Assume { cond } => match self.apply_cond(cond, q)? {
-                Some(q2) => vec![q2],
-                None => Vec::new(),
-            },
+            Command::Assume { cond } => out.extend(self.apply_cond(cond, q)?),
             other => {
                 let res = match other {
                     Command::Assign { dst, src } => self.exec_assign_back(q, *dst, *src),
@@ -91,40 +95,36 @@ impl Engine<'_> {
                     _ => unreachable!("handled above"),
                 };
                 match res {
-                    Ok(qs) => qs,
-                    Err(r) => {
-                        self.stats.count_refutation(r);
-                        Vec::new()
-                    }
+                    Ok(q) => out.push(q),
+                    Err(r) => self.stats.count_refutation(r),
                 }
             }
-        };
-        self.finish(qs)
+        }
+        self.finish(out, mark)
     }
 
-    /// Post-processing shared by all transfers: heap-consistency
-    /// normalization, explicit-mode explosion, and the full-witness check
-    /// (a discharged satisfiable query is `any`).
-    fn finish(&mut self, qs: Vec<Query>) -> Flow {
-        let mut capped = Vec::with_capacity(qs.len());
-        for mut q in qs {
+    /// Post-processing of the queries `out[mark..]` that one transfer
+    /// produced: heap-consistency normalization, explicit-mode explosion,
+    /// and the full-witness check (a discharged satisfiable query is `any`).
+    fn finish(&mut self, out: &mut Vec<Query>, mark: usize) -> Flow {
+        for q in &mut out[mark..] {
             // Bound query size (sound weakening; keeps transfers and
             // entailment cheap).
             q.truncate_heap(MAX_HEAP_CELLS);
-            capped.push(q);
         }
-        let mut out = Vec::new();
         if self.config.representation == Representation::FullyExplicit {
-            for q in capped {
-                self.explode(q, &mut out)?;
+            let mut capped = self.take_buf();
+            capped.extend(out.drain(mark..));
+            for q in capped.drain(..) {
+                self.explode(q, out)?;
             }
-        } else {
-            out = capped;
+            self.put_buf(capped);
         }
-        if out.len() > 1 {
-            self.charge(out.len() as u64 - 1)?;
+        let produced = out.len() - mark;
+        if produced > 1 {
+            self.charge(produced as u64 - 1)?;
         }
-        for q in &out {
+        for q in &out[mark..] {
             if q.is_discharged() && q.ret_slot.is_none() {
                 // A solver failure means we cannot show the discharged
                 // query inconsistent, but reporting it as a witness would
@@ -137,7 +137,7 @@ impl Engine<'_> {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Heap-consistency narrowing: for every exact cell `ô·f ↦ v̂`, the
@@ -157,48 +157,51 @@ impl Engine<'_> {
         }
         // Single pass per transfer: narrowing cascades are picked up by the
         // next transfer's pass, keeping per-transfer cost linear.
-        {
-            let mut changed = false;
-            let cells: Vec<(crate::value::SymId, FieldId, Val)> =
-                q.heap.iter().map(|c| (c.obj, c.field, c.val)).collect();
-            for (obj, field, val) in cells {
-                let Val::Sym(vs) = val else { continue };
-                let Some(val_locs) = q.region(vs).as_locs().cloned() else { continue };
-                let Some(owner_locs) = q.region(obj).as_locs().cloned() else { continue };
-                // Forward: the value must lie in the union of the owners'
-                // field points-to sets.
-                let mut allowed = BitSet::new();
-                for l in owner_locs.iter() {
-                    allowed.union_with(self.pta.pt_field(pta::LocId(l as u32), field));
-                }
-                if !val_locs.is_subset(&allowed) {
-                    q.narrow(vs, &allowed)?;
-                    changed = true;
-                }
-                // Backward: the owner must be a location whose field may
-                // reach the value's region.
-                let mut owners = BitSet::new();
-                for l in owner_locs.iter() {
-                    let lid = pta::LocId(l as u32);
-                    if !self.pta.pt_field(lid, field).is_disjoint(&val_locs) {
-                        owners.insert(l);
-                    }
-                }
-                if owners != owner_locs {
-                    q.narrow(obj, &owners)?;
-                    changed = true;
+        let mut allowed = std::mem::take(&mut self.scratch);
+        let mut owners = BitSet::new();
+        let mut result = Ok(());
+        for i in 0..q.heap.len() {
+            let HeapCell { obj, field, val, .. } = q.heap[i];
+            let Val::Sym(vs) = val else { continue };
+            let Some(val_locs) = q.region(vs).as_locs() else { continue };
+            let Some(owner_locs) = q.region(obj).as_locs() else { continue };
+            // Forward: the value must lie in the union of the owners' field
+            // points-to sets. Backward: the owner must be a location whose
+            // field may reach the value's region. Both are read off the
+            // regions before either is narrowed.
+            allowed.clear();
+            owners.clear();
+            for l in owner_locs.iter() {
+                let pt = self.pta.pt_field(pta::LocId(l as u32), field);
+                allowed.union_with(pt);
+                if !val_locs.is_disjoint(pt) {
+                    owners.insert(l);
                 }
             }
-            let _ = changed;
+            let narrow_val = !val_locs.is_subset(&allowed);
+            let narrow_owner = !owner_locs.is_subset(&owners);
+            if narrow_val {
+                if let Err(r) = q.narrow(vs, &allowed) {
+                    result = Err(r);
+                    break;
+                }
+            }
+            if narrow_owner {
+                if let Err(r) = q.narrow(obj, &owners) {
+                    result = Err(r);
+                    break;
+                }
+            }
         }
-        Ok(())
+        self.scratch = allowed;
+        result
     }
 
     /// Fully-explicit representation (§2.2): case-split every symbolic value
     /// whose region holds more than one abstract location.
     fn explode(&mut self, q: Query, out: &mut Vec<Query>) -> Result<(), Stop> {
         let split = q.regions().find_map(|(s, r)| {
-            r.as_locs().and_then(|l| if l.len() > 1 { Some((s, l.clone())) } else { None })
+            r.as_locs().and_then(|l| if l.len() > 1 { Some((s, l.to_bitset())) } else { None })
         });
         match split {
             None => {
@@ -224,10 +227,10 @@ impl Engine<'_> {
         mut q: Query,
         dst: VarId,
         src: Operand,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         self.bind_value_to_operand(&mut q, v, src)?;
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Backwards integer arithmetic: `x := lhs op rhs`. Addition and
@@ -240,8 +243,8 @@ impl Engine<'_> {
         op: BinOp,
         lhs: Operand,
         rhs: Operand,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         let v_term = match v {
             Val::Int(c) => Term::int(c),
             Val::Sym(s) => Term::sym(s.0),
@@ -258,29 +261,29 @@ impl Engine<'_> {
                     BinOp::Sub => a.checked_sub(b),
                     BinOp::Mul => a.checked_mul(b),
                 };
-                let Some(r) = r else { return Ok(vec![q]) };
+                let Some(r) = r else { return Ok(q) };
                 q.add_pure(CmpOp::Eq, v_term, Term::int(r))?;
             }
             (BinOp::Add, Operand::Var(y), Operand::Int(c))
             | (BinOp::Add, Operand::Int(c), Operand::Var(y)) => {
                 let w = self.int_term(&mut q, y)?;
-                let Some(t) = offset(w, c) else { return Ok(vec![q]) };
+                let Some(t) = offset(w, c) else { return Ok(q) };
                 q.add_pure(CmpOp::Eq, v_term, t)?;
             }
             (BinOp::Sub, Operand::Var(y), Operand::Int(c)) => {
                 let w = self.int_term(&mut q, y)?;
                 let Some(t) = c.checked_neg().and_then(|nc| offset(w, nc)) else {
-                    return Ok(vec![q]);
+                    return Ok(q);
                 };
                 q.add_pure(CmpOp::Eq, v_term, t)?;
             }
             _ => {
                 // Multiplication or var-var arithmetic: outside the solver
                 // fragment; drop the constraint (sound weakening).
-                return Ok(vec![q]);
+                return Ok(q);
             }
         }
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// The solver term for integer variable `y`, binding it if needed.
@@ -311,13 +314,16 @@ impl Engine<'_> {
         obj: VarId,
         field: FieldId,
         idx: Option<Operand>,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         if self.config.representation != Representation::FullySymbolic {
             if let Val::Sym(s) = v {
                 if self.program.field(field).ty.is_ref() {
-                    let pt = self.pta.pt_var_field(obj, field);
-                    q.narrow(s, &pt)?;
+                    let mut pt = std::mem::take(&mut self.scratch);
+                    self.pta.pt_var_field_into(obj, field, &mut pt);
+                    let narrowed = q.narrow(s, &pt);
+                    self.scratch = pt;
+                    narrowed?;
                 }
             }
         }
@@ -331,7 +337,7 @@ impl Engine<'_> {
             None => None,
         };
         self.add_cell(&mut q, base_sym, field, v, idx_val)?;
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Inserts a heap cell, unifying with an existing cell for the same
@@ -365,14 +371,13 @@ impl Engine<'_> {
         field: FieldId,
         idx: Option<Operand>,
         src: Operand,
+        out: &mut Vec<Query>,
     ) -> Flow {
-        let cell_ids: Vec<usize> =
-            q.heap.iter().enumerate().filter(|(_, c)| c.field == field).map(|(i, _)| i).collect();
-        if cell_ids.is_empty() {
-            return Ok(vec![q]);
-        }
-        self.charge(cell_ids.len() as u64)?;
-        let mut out = Vec::new();
+        let Some(last) = q.heap.iter().rposition(|c| c.field == field) else {
+            out.push(q);
+            return Ok(());
+        };
+        self.charge(q.heap.iter().filter(|c| c.field == field).count() as u64)?;
 
         // Disjunct: the write did not produce any of the cells.
         match self.write_not_produced(q.clone(), obj, field, &idx) {
@@ -380,14 +385,21 @@ impl Engine<'_> {
             Err(r) => self.stats.count_refutation(r),
         }
 
-        // Disjuncts: the write produced cell `i`.
-        for i in cell_ids {
-            match self.write_produced(q.clone(), i, obj, &idx, src) {
-                Ok(q_i) => out.push(q_i),
-                Err(r) => self.stats.count_refutation(r),
+        // Disjuncts: the write produced cell `i`; the last one takes `q`
+        // itself.
+        for i in 0..last {
+            if q.heap[i].field == field {
+                match self.write_produced(q.clone(), i, obj, &idx, src) {
+                    Ok(q_i) => out.push(q_i),
+                    Err(r) => self.stats.count_refutation(r),
+                }
             }
         }
-        Ok(out)
+        match self.write_produced(q, last, obj, &idx, src) {
+            Ok(q_i) => out.push(q_i),
+            Err(r) => self.stats.count_refutation(r),
+        }
+        Ok(())
     }
 
     /// The "not produced" case of `WitWrite`: the written cell is separate
@@ -410,10 +422,9 @@ impl Engine<'_> {
             Some(op) => Some(self.int_operand(&mut q, *op)?),
             None => None,
         };
-        let cells: Vec<(crate::value::SymId, Option<Val>)> =
-            q.heap.iter().filter(|c| c.field == field).map(|c| (c.obj, c.idx)).collect();
-        for (cell_obj, cell_idx) in cells {
-            if cell_obj != base_sym {
+        for i in 0..q.heap.len() {
+            let HeapCell { obj: cell_obj, field: cell_field, idx: cell_idx, .. } = q.heap[i];
+            if cell_field != field || cell_obj != base_sym {
                 // Distinct symbols: possibly disaliased; the disequality is
                 // dropped (kept implicitly via separation and `from`).
                 continue;
@@ -467,8 +478,8 @@ impl Engine<'_> {
         mut q: Query,
         dst: VarId,
         global: GlobalId,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         if self.config.representation != Representation::FullySymbolic {
             if let Val::Sym(s) = v {
                 if self.program.global(global).ty.is_ref() {
@@ -482,7 +493,7 @@ impl Engine<'_> {
                 q.statics.insert(global, v);
             }
         }
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Backwards `$G := src`: a strong update — the single cell `$G` was
@@ -492,10 +503,10 @@ impl Engine<'_> {
         mut q: Query,
         global: GlobalId,
         src: Operand,
-    ) -> Result<Vec<Query>, Refuted> {
-        let Some(v) = q.statics.remove(&global) else { return Ok(vec![q]) };
+    ) -> Result<Query, Refuted> {
+        let Some(v) = q.statics.remove(&global) else { return Ok(q) };
         self.bind_value_to_operand(&mut q, v, src)?;
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// `WitNew` — `x := new @alloc` (and `newarray`): the bound instance
@@ -507,13 +518,13 @@ impl Engine<'_> {
         dst: VarId,
         alloc: tir::AllocId,
         array_len: Option<Operand>,
-    ) -> Result<Vec<Query>, Refuted> {
+    ) -> Result<Query, Refuted> {
         if let Some(victim) = &self.config.inject_panic_on_new {
             if self.program.alloc(alloc).name == *victim {
                 panic!("injected fault at allocation site {victim}");
             }
         }
-        let Some(v) = q.locals.remove(&dst) else { return Ok(vec![q]) };
+        let Some(v) = q.locals.remove(&dst) else { return Ok(q) };
         let s = match v {
             Val::Sym(s) => s,
             // `new` yields a non-null reference.
@@ -542,9 +553,9 @@ impl Engine<'_> {
                 Val::Int(_) => return Err(Refuted::Allocation),
                 Val::Sym(vs) => match q.region(vs) {
                     // An integer field is zero at birth.
-                    crate::region::Region::Data => q.unify(Val::Sym(vs), Val::Int(0))?,
+                    RegionRef::Data => q.unify(Val::Sym(vs), Val::Int(0))?,
                     // A reference field cannot hold an instance at birth.
-                    crate::region::Region::Locs(_) => return Err(Refuted::Allocation),
+                    RegionRef::Locs(_) => return Err(Refuted::Allocation),
                 },
             }
         }
@@ -559,16 +570,12 @@ impl Engine<'_> {
             return Err(Refuted::Allocation);
         }
         q.gc();
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// Backwards `return val`: consumes the pending return binding pushed
     /// by the caller's call transfer.
-    fn exec_return_back(
-        &mut self,
-        mut q: Query,
-        val: Option<Operand>,
-    ) -> Result<Vec<Query>, Refuted> {
+    fn exec_return_back(&mut self, mut q: Query, val: Option<Operand>) -> Result<Query, Refuted> {
         if let Some(v) = q.ret_slot.take() {
             match val {
                 Some(op) => self.bind_value_to_operand(&mut q, v, op)?,
@@ -579,7 +586,7 @@ impl Engine<'_> {
                 }
             }
         }
-        Ok(vec![q])
+        Ok(q)
     }
 
     /// `WitAssume` — guard conditions. Path constraints are added only when

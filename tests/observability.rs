@@ -41,9 +41,12 @@ fn report_counters_match_client_stats_exactly() {
     let rec = recorder();
     rec.reset();
 
-    let program = load("droidlife.tir");
+    // SMSPopup rather than DroidLife: every path DroidLife explores keeps a
+    // known-satisfiable constraint set, so it never runs the decision
+    // procedure, and the solver-counter identity below needs runs.
+    let program = load("smspopup.tir");
     let report = {
-        let _run = obs::span(SpanKind::Run, "droidlife");
+        let _run = obs::span(SpanKind::Run, "smspopup");
         ActivityLeakChecker::new(&program).check()
     };
     obs::uninstall();

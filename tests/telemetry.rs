@@ -26,6 +26,8 @@ use thresher::obs::json::Value;
 use thresher::obs::{self, prom, MemRecorder, RingCapacity};
 use thresher::serve::{Daemon, ServeConfig};
 
+/// The integer guard around the store gives the search a path condition
+/// to decide, so query cost blocks carry decision-procedure runs.
 const PROGRAM: &str = r#"
 class Box { field item: Object; }
 global CACHE: Box;
@@ -33,10 +35,14 @@ fn main() {
   var b: Box;
   var secret: Object;
   var s: Object;
+  var n: int;
   b = new Box @box0;
   secret = new Object @secret0;
   s = new Object @str0;
-  b.item = s;
+  n = 1;
+  if (n > 0) {
+    b.item = s;
+  }
   $CACHE = b;
 }
 entry main;
