@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! reproduce table1 [--budget N] [--apps a,b,c]   # Table 1
-//! reproduce table2 [--budget N] [--apps a,b,c]   # Table 2 (fully symbolic vs mixed)
+//! reproduce table2 [--budget N] [--apps a,b,c]   # Table 2 (fully symbolic vs mixed;
+//!                                                # median ms of 5 runs each)
 //! reproduce simplification [--budget N] [--apps a,b,c]
 //!                                                # §4 hypothesis 2
 //! reproduce stats [--budget N] [--apps a,b,c]    # §3.2 refutation reasons
@@ -113,18 +114,18 @@ fn table2(apps: &[BenchApp], budget: u64) {
     println!("== Table 2: fully symbolic representation vs mixed ==");
     println!(
         "{:<14} {:^4} {:>12} {:>12} {:>10} {:>8} {:>14}",
-        "Benchmark", "Ann?", "mixed T(s)", "symb T(s)", "slowdown", "TO(+)", "refuted m/s"
+        "Benchmark", "Ann?", "mixed T(ms)", "symb T(ms)", "slowdown", "TO(+)", "refuted m/s"
     );
     for app in apps {
         for annotated in [false, true] {
             let cfg = SymexConfig::default().with_budget(budget);
             let cmp = run_repr_comparison(app, annotated, Representation::FullySymbolic, cfg);
             println!(
-                "{:<14} {:^4} {:>12.2} {:>12.2} {:>9.1}X {:>+8} {:>7}/{}",
+                "{:<14} {:^4} {:>12.1} {:>12.1} {:>9.1}X {:>+8} {:>7}/{}",
                 cmp.name,
                 if annotated { "Y" } else { "N" },
-                cmp.mixed_time.as_secs_f64(),
-                cmp.other_time.as_secs_f64(),
+                cmp.mixed_time.as_secs_f64() * 1e3,
+                cmp.other_time.as_secs_f64() * 1e3,
                 cmp.slowdown(),
                 cmp.added_timeouts(),
                 cmp.mixed_refuted,

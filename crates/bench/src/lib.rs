@@ -107,11 +107,11 @@ pub struct ReprComparison {
     pub name: &'static str,
     /// Annotated configuration?
     pub annotated: bool,
-    /// Mixed-representation time.
+    /// Mixed-representation time, the median of [`REPR_RUNS`] runs.
     pub mixed_time: Duration,
     /// Mixed-representation edge timeouts.
     pub mixed_timeouts: usize,
-    /// Comparison-representation time.
+    /// Comparison-representation time, the median of [`REPR_RUNS`] runs.
     pub other_time: Duration,
     /// Comparison-representation edge timeouts.
     pub other_timeouts: usize,
@@ -134,19 +134,43 @@ impl ReprComparison {
     }
 }
 
+/// Runs per representation in [`run_repr_comparison`]. Annotated rows take
+/// milliseconds, so one run's time is mostly noise.
+pub const REPR_RUNS: usize = 5;
+
 /// Compares the mixed representation against `other` on one app (Table 2
-/// uses [`Representation::FullySymbolic`]).
+/// uses [`Representation::FullySymbolic`]). Each representation runs
+/// [`REPR_RUNS`] times; its time is the median, and its answers are the
+/// first run's.
+///
+/// # Panics
+///
+/// Panics if two runs of one representation disagree on any column but
+/// the time.
 pub fn run_repr_comparison(
     app: &BenchApp,
     annotated: bool,
     other: Representation,
     base_config: SymexConfig,
 ) -> ReprComparison {
+    let answers =
+        |row: &Table1Row| format!("{:?}", Table1Row { time: Duration::ZERO, ..row.clone() });
     let run = |repr: Representation| {
         let cfg = base_config.clone().with_representation(repr);
-        let t0 = Instant::now();
-        let row = run_table1_row(app, annotated, cfg);
-        (t0.elapsed(), row)
+        let timed = || {
+            let t0 = Instant::now();
+            let row = run_table1_row(app, annotated, cfg.clone());
+            (t0.elapsed(), row)
+        };
+        let (time, first) = timed();
+        let mut times = vec![time];
+        for _ in 1..REPR_RUNS {
+            let (time, row) = timed();
+            assert_eq!(answers(&first), answers(&row), "{} {repr:?}: runs disagree", app.name);
+            times.push(time);
+        }
+        times.sort();
+        (times[REPR_RUNS / 2], first)
     };
     let (mixed_time, mixed_row) = run(Representation::Mixed);
     let (other_time, other_row) = run(other);

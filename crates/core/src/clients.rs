@@ -112,8 +112,9 @@ impl<'a> EscapeChecker<'a> {
     }
 
     /// The general form: refute reachability from every global to every
-    /// location in `targets`, sharing the edge-decision cache across pairs
-    /// (and, with `jobs > 1`, deciding independent edges in parallel).
+    /// location in `targets` that the points-to graph connects it to,
+    /// sharing the edge-decision cache across pairs (and, with `jobs > 1`,
+    /// deciding independent edges in parallel).
     pub fn check_targets(&self, targets: BitSet) -> EscapeReport {
         let _span = obs::span(obs::SpanKind::Client, "escape-checker");
         let mut sched = RefutationScheduler::new(
@@ -131,8 +132,11 @@ impl<'a> EscapeChecker<'a> {
         let mut jobs = Vec::new();
         for global in self.program.global_ids() {
             for t in targets.iter() {
-                pairs.push((global, LocId(t as u32)));
-                jobs.push(ReachJob { source: global, targets: BitSet::singleton(t) });
+                let target = BitSet::singleton(t);
+                if view.is_reachable(self.program, global, &target) {
+                    pairs.push((global, LocId(t as u32)));
+                    jobs.push(ReachJob { source: global, targets: target });
+                }
             }
         }
         let outcome = sched.run(&mut view, &jobs);
@@ -217,6 +221,40 @@ entry main;
         assert!(checker.check_site("secret0").is_encapsulated());
         assert!(!checker.check_site("public0").is_encapsulated());
         assert!(checker.check_site("box0").escapes.len() == 1);
+    }
+
+    /// Only `SHARED` may reach `secret0` in the points-to graph, and that
+    /// edge is refuted: one refuted pair, not one per global.
+    #[test]
+    fn refuted_pairs_count_only_claimed_pairs() {
+        let (p, r, m) = setup(
+            r#"
+class Secret { }
+class Box { field item: Object; }
+global SHARED: Box;
+global OTHER: Box;
+global UNUSED: Box;
+fn main() {
+  var b: Box;
+  var o: Box;
+  var s: Secret;
+  var flag: int;
+  b = new Box @box0;
+  o = new Box @box1;
+  s = new Secret @secret0;
+  flag = 0;
+  if (flag == 1) {
+    b.item = s;
+  }
+  $SHARED = b;
+  $OTHER = o;
+}
+entry main;
+"#,
+        );
+        let report = EscapeChecker::new(&p, &r, &m, SymexConfig::default()).check_site("secret0");
+        assert!(report.is_encapsulated(), "{report:?}");
+        assert_eq!(report.refuted_pairs, 1, "{report:?}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Programmatic construction of [`Program`]s.
 //!
-//! [`ProgramBuilder`] owns the arenas while building; [`MethodBuilder`] is a
+//! [`ProgramBuilder`] owns the [`Program`] while building and declares
+//! through the same lowering as [`crate::parse`]; [`MethodBuilder`] is a
 //! statement-level DSL handed to method-body closures:
 //!
 //! ```
@@ -21,25 +22,16 @@
 //! ```
 
 use crate::ids::{AllocId, ClassId, CmdId, FieldId, GlobalId, MethodId, VarId};
-use crate::program::{AllocSite, Class, Field, Global, Method, Program, Ty, VarInfo};
+use crate::lower::Scope;
+use crate::program::{Program, Ty};
 use crate::stmt::{BinOp, Callee, CmpOp, Command, Cond, Operand, Stmt};
 
 /// Builds a [`Program`] incrementally (see the module-level documentation).
+///
+/// Declarations follow [`crate::parse`]'s rules; a duplicate name panics.
 #[derive(Debug)]
 pub struct ProgramBuilder {
-    classes: Vec<Class>,
-    fields: Vec<Field>,
-    globals: Vec<Global>,
-    methods: Vec<Method>,
-    vars: Vec<VarInfo>,
-    allocs: Vec<AllocSite>,
-    cmds: Vec<Command>,
-    cmd_method: Vec<MethodId>,
-    entry: Option<MethodId>,
-    object_class: ClassId,
-    array_class: ClassId,
-    contents_field: FieldId,
-    len_field: FieldId,
+    program: Program,
     alloc_counter: usize,
 }
 
@@ -49,64 +41,36 @@ impl Default for ProgramBuilder {
     }
 }
 
+/// Unwraps a declaration; a broken declaration rule is a bug in the caller.
+fn declared<T>(declaration: Result<T, String>) -> T {
+    declaration.unwrap_or_else(|message| panic!("{message}"))
+}
+
 impl ProgramBuilder {
     /// Creates a builder pre-populated with the builtin `Object` and `Array`
     /// classes.
     pub fn new() -> Self {
-        let mut b = ProgramBuilder {
-            classes: Vec::new(),
-            fields: Vec::new(),
-            globals: Vec::new(),
-            methods: Vec::new(),
-            vars: Vec::new(),
-            allocs: Vec::new(),
-            cmds: Vec::new(),
-            cmd_method: Vec::new(),
-            entry: None,
-            object_class: ClassId(0),
-            array_class: ClassId(0),
-            contents_field: FieldId(0),
-            len_field: FieldId(0),
-            alloc_counter: 0,
-        };
-        let object = b.class_raw("Object", None);
-        let array = b.class_raw("Array", Some(object));
-        b.object_class = object;
-        b.array_class = array;
-        b.contents_field = b.field(array, "contents", Ty::Ref(object));
-        b.len_field = b.field(array, "len", Ty::Int);
-        b
+        ProgramBuilder { program: Program::with_builtins(), alloc_counter: 0 }
     }
 
     /// The builtin root class.
     pub fn object_class(&self) -> ClassId {
-        self.object_class
+        self.program.object_class
     }
 
     /// The builtin array class.
     pub fn array_class(&self) -> ClassId {
-        self.array_class
+        self.program.array_class
     }
 
     /// The synthetic array `contents` field.
     pub fn contents_field(&self) -> FieldId {
-        self.contents_field
+        self.program.contents_field
     }
 
     /// The synthetic array `len` field.
     pub fn len_field(&self) -> FieldId {
-        self.len_field
-    }
-
-    fn class_raw(&mut self, name: &str, superclass: Option<ClassId>) -> ClassId {
-        let id = ClassId::from_index(self.classes.len());
-        self.classes.push(Class {
-            name: name.to_owned(),
-            superclass,
-            fields: Vec::new(),
-            methods: Vec::new(),
-        });
-        id
+        self.program.len_field
     }
 
     /// Declares a class. `superclass = None` makes it derive from `Object`.
@@ -115,39 +79,14 @@ impl ProgramBuilder {
     ///
     /// Panics if a class with the same name already exists.
     pub fn class(&mut self, name: &str, superclass: Option<ClassId>) -> ClassId {
-        assert!(!self.classes.iter().any(|c| c.name == name), "duplicate class name {name}");
-        let sup = superclass.unwrap_or(self.object_class);
-        self.class_raw(name, Some(sup))
+        let superclass = superclass.unwrap_or(self.program.object_class);
+        declared(self.program.declare_class(name, Some(superclass)))
     }
 
-    /// Re-points the superclass of `class` (used by the parser, where
-    /// `extends` may reference a class declared later).
-    pub fn set_superclass(&mut self, class: ClassId, superclass: ClassId) {
-        self.classes[class.index()].superclass = Some(superclass);
-    }
-
-    /// Resolves a field named `name` visible on `class`, walking the
-    /// superclass chain (builder-time mirror of
-    /// [`Program::resolve_field`](crate::Program::resolve_field)).
-    pub fn resolve_field(&self, class: ClassId, name: &str) -> Option<FieldId> {
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            for &f in &self.classes[c.index()].fields {
-                if self.fields[f.index()].name == name {
-                    return Some(f);
-                }
-            }
-            cur = self.classes[c.index()].superclass;
-        }
-        None
-    }
-
-    /// Declares an instance field on `class`.
+    /// Declares an instance field on `class`; panics if `class` already
+    /// declares one of that name.
     pub fn field(&mut self, class: ClassId, name: &str, ty: Ty) -> FieldId {
-        let id = FieldId::from_index(self.fields.len());
-        self.fields.push(Field { name: name.to_owned(), owner: class, ty });
-        self.classes[class.index()].fields.push(id);
-        id
+        declared(self.program.declare_field(class, name, ty))
     }
 
     /// Declares a global variable (static field).
@@ -156,17 +95,16 @@ impl ProgramBuilder {
     ///
     /// Panics if a global with the same name already exists.
     pub fn global(&mut self, name: &str, ty: Ty) -> GlobalId {
-        assert!(!self.globals.iter().any(|g| g.name == name), "duplicate global name {name}");
-        let id = GlobalId::from_index(self.globals.len());
-        self.globals.push(Global { name: name.to_owned(), ty });
-        id
+        declared(self.program.declare_global(name, ty))
     }
 
     /// Declares a method without a body (for mutual recursion). Define the
     /// body later with [`ProgramBuilder::define_method`].
     ///
     /// For instance methods (`class = Some(..)`), a `this` parameter is
-    /// created implicitly as `params[0]`.
+    /// created implicitly as `params[0]`. Panics on a name the class (or,
+    /// for a free function, the program) already has, or on two parameters
+    /// of one name.
     pub fn declare_method(
         &mut self,
         class: Option<ClassId>,
@@ -174,40 +112,17 @@ impl ProgramBuilder {
         params: &[(&str, Ty)],
         ret_ty: Option<Ty>,
     ) -> MethodId {
-        let id = MethodId::from_index(self.methods.len());
-        let mut param_ids = Vec::new();
-        if let Some(c) = class {
-            let this = VarId::from_index(self.vars.len());
-            self.vars.push(VarInfo { name: "this".to_owned(), ty: Ty::Ref(c), method: id });
-            param_ids.push(this);
-        }
-        for (pname, pty) in params {
-            let v = VarId::from_index(self.vars.len());
-            self.vars.push(VarInfo { name: (*pname).to_owned(), ty: *pty, method: id });
-            param_ids.push(v);
-        }
-        self.methods.push(Method {
-            name: name.to_owned(),
-            class,
-            params: param_ids.clone(),
-            locals: param_ids,
-            ret_ty,
-            body: Stmt::Skip,
-            removed: false,
-        });
-        if let Some(c) = class {
-            self.classes[c.index()].methods.push(id);
-        }
-        id
+        declared(self.program.declare_method(class, name, params, ret_ty))
     }
 
     /// Defines the body of a previously declared method.
     pub fn define_method(&mut self, id: MethodId, f: impl FnOnce(&mut MethodBuilder)) {
-        let mut mb = MethodBuilder { pb: self, method: id, current: Vec::new(), outer: Vec::new() };
+        let scope = Scope::of(&self.program, id);
+        let mut mb = MethodBuilder { pb: self, scope, current: Vec::new(), outer: Vec::new() };
         f(&mut mb);
         assert!(mb.outer.is_empty(), "unbalanced control-flow nesting");
-        let stmts = std::mem::take(&mut mb.current);
-        self.methods[id.index()].body = Stmt::Seq(stmts);
+        let body = Stmt::Seq(mb.current);
+        self.program.methods[id.index()].body = body;
     }
 
     /// Declares and defines a method in one step.
@@ -226,7 +141,7 @@ impl ProgramBuilder {
 
     /// Sets the entry method (the harness `main`).
     pub fn set_entry(&mut self, m: MethodId) {
-        self.entry = Some(m);
+        self.program.entry = Some(m);
     }
 
     /// Finalizes the program.
@@ -247,23 +162,8 @@ impl ProgramBuilder {
     ///
     /// Returns the first [`crate::validate::ValidateError`] found.
     pub fn try_finish(self) -> Result<Program, crate::validate::ValidateError> {
-        let p = Program {
-            classes: self.classes,
-            fields: self.fields,
-            globals: self.globals,
-            methods: self.methods,
-            vars: self.vars,
-            allocs: self.allocs,
-            cmds: self.cmds,
-            cmd_method: self.cmd_method,
-            entry: self.entry,
-            object_class: self.object_class,
-            array_class: self.array_class,
-            contents_field: self.contents_field,
-            len_field: self.len_field,
-        };
-        crate::validate::validate(&p)?;
-        Ok(p)
+        crate::validate::validate(&self.program)?;
+        Ok(self.program)
     }
 }
 
@@ -272,7 +172,7 @@ impl ProgramBuilder {
 #[derive(Debug)]
 pub struct MethodBuilder<'a> {
     pb: &'a mut ProgramBuilder,
-    method: MethodId,
+    scope: Scope,
     /// The statement frame currently receiving commands. Representing the
     /// innermost frame as a plain field (instead of the top of a stack)
     /// makes "no open frame" unrepresentable, so the builder never panics
@@ -285,7 +185,7 @@ pub struct MethodBuilder<'a> {
 impl<'a> MethodBuilder<'a> {
     /// The method being built.
     pub fn method_id(&self) -> MethodId {
-        self.method
+        self.scope.method
     }
 
     /// The implicit `this` parameter.
@@ -294,56 +194,31 @@ impl<'a> MethodBuilder<'a> {
     ///
     /// Panics if the method is not an instance method.
     pub fn this(&self) -> VarId {
-        let m = &self.pb.methods[self.method.index()];
+        let m = self.pb.program.method(self.method_id());
         assert!(m.class.is_some(), "free function has no `this`");
         m.params[0]
     }
 
     /// The `i`-th declared parameter (0-based, *excluding* `this`).
     pub fn param(&self, i: usize) -> VarId {
-        let m = &self.pb.methods[self.method.index()];
+        let m = self.pb.program.method(self.method_id());
         let off = usize::from(m.class.is_some());
         m.params[off + i]
     }
 
-    /// All parameters, including the implicit `this` if present.
-    pub fn params(&self) -> &[VarId] {
-        &self.pb.methods[self.method.index()].params
-    }
-
-    /// Source name of a variable.
-    pub fn var_name(&self, v: VarId) -> String {
-        self.pb.vars[v.index()].name.clone()
-    }
-
-    /// Declared type of a variable.
-    pub fn var_ty(&self, v: VarId) -> Ty {
-        self.pb.vars[v.index()].ty
-    }
-
-    /// Read-only access to the underlying program builder (for name lookups
-    /// during parsing).
+    /// Read-only access to the underlying program builder.
     pub fn program_builder(&self) -> &ProgramBuilder {
         self.pb
     }
 
-    /// Resolves a field by name on `class` (walks the superclass chain).
-    pub fn resolve_field(&self, class: ClassId, name: &str) -> Option<FieldId> {
-        self.pb.resolve_field(class, name)
-    }
-
-    /// Declares a fresh local variable.
+    /// Declares a fresh local variable; panics if the method already has a
+    /// local or parameter of that name.
     pub fn var(&mut self, name: &str, ty: Ty) -> VarId {
-        let v = VarId::from_index(self.pb.vars.len());
-        self.pb.vars.push(VarInfo { name: name.to_owned(), ty, method: self.method });
-        self.pb.methods[self.method.index()].locals.push(v);
-        v
+        declared(self.scope.declare(&mut self.pb.program, name, ty))
     }
 
     fn push_cmd(&mut self, cmd: Command) -> CmdId {
-        let id = CmdId::from_index(self.pb.cmds.len());
-        self.pb.cmds.push(cmd);
-        self.pb.cmd_method.push(self.method);
+        let id = self.pb.program.push_cmd(self.scope.method, cmd);
         self.current.push(Stmt::Cmd(id));
         id
     }
@@ -412,30 +287,27 @@ impl<'a> MethodBuilder<'a> {
     fn fresh_alloc(&mut self, name: &str, class: ClassId) -> AllocId {
         let name = if name.is_empty() {
             self.pb.alloc_counter += 1;
-            format!(
-                "{}{}",
-                self.pb.classes[class.index()].name.to_lowercase(),
-                self.pb.alloc_counter - 1
-            )
+            let class = self.pb.program.class(class).name.to_lowercase();
+            format!("{class}{}", self.pb.alloc_counter - 1)
         } else {
             name.to_owned()
         };
-        let id = AllocId::from_index(self.pb.allocs.len());
-        self.pb.allocs.push(AllocSite { name, class, method: self.method });
-        id
+        declared(self.pb.program.declare_site(self.scope.method, &name, class))
     }
 
     /// `dst = new class @site`. Pass an empty `site` name to auto-generate
-    /// one. Returns the allocation site id.
+    /// one. Returns the allocation site id; panics if the program already
+    /// has a site of that name.
     pub fn new_obj(&mut self, dst: VarId, class: ClassId, site: &str) -> AllocId {
         let alloc = self.fresh_alloc(site, class);
         self.push_cmd(Command::New { dst, class, alloc });
         alloc
     }
 
-    /// `dst = newarray @site [len]`. Returns the allocation site id.
+    /// `dst = newarray @site [len]`. Returns the allocation site id; panics
+    /// if the program already has a site of that name.
     pub fn new_array(&mut self, dst: VarId, site: &str, len: impl Into<Operand>) -> AllocId {
-        let class = self.pb.array_class;
+        let class = self.pb.program.array_class;
         let alloc = self.fresh_alloc(site, class);
         self.push_cmd(Command::NewArray { dst, alloc, len: len.into() });
         alloc
@@ -539,10 +411,10 @@ impl<'a> MethodBuilder<'a> {
 
     // ------------------------------------------------------------------
     // Explicit block primitives. These allow building nested control flow
-    // without closures (used by the parser, where external state must be
-    // threaded through block construction). Every `begin_block` must be
-    // paired with an `end_block`, and the returned statement passed to one
-    // of the `push_*` methods.
+    // without closures (for generators that thread mutable state through
+    // both arms of a branch). Every `begin_block` must be paired with an
+    // `end_block`, and the returned statement passed to one of the
+    // `push_*` methods.
     // ------------------------------------------------------------------
 
     /// Opens a nested statement block.
@@ -552,8 +424,8 @@ impl<'a> MethodBuilder<'a> {
 
     /// Closes the innermost block opened by [`MethodBuilder::begin_block`]
     /// and returns it as a statement. Calling it with no open block simply
-    /// drains the method-level frame (the parser and the closure-based
-    /// combinators always keep begin/end balanced).
+    /// drains the method-level frame (the closure-based combinators always
+    /// keep begin/end balanced).
     pub fn end_block(&mut self) -> Stmt {
         let enclosing = self.outer.pop().unwrap_or_default();
         Stmt::Seq(std::mem::replace(&mut self.current, enclosing))
@@ -625,7 +497,7 @@ mod tests {
         let c = b.class("C", None);
         let m = b.method(Some(c), "id", &[("x", Ty::Int)], Some(Ty::Int), |mb| {
             let this = mb.this();
-            assert_eq!(mb.pb.vars[this.index()].name, "this");
+            assert_eq!(mb.pb.program.var(this).name, "this");
             let x = mb.param(0);
             mb.ret(x);
         });
@@ -651,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "duplicate class name")]
+    #[should_panic(expected = "duplicate class C")]
     fn duplicate_class_panics() {
         let mut b = ProgramBuilder::new();
         b.class("C", None);

@@ -14,12 +14,11 @@
 
 use std::fmt;
 
-use crate::ids::{AllocId, CmdId, MethodId, VarId};
-use crate::parser::{
-    lex, Parser, SCall, SCond, SLvalue, SMethod, SOperand, SRvalue, SStmt, STy, Tok,
-};
-use crate::program::{AllocSite, Method, Program, Ty, VarInfo};
-use crate::stmt::{Callee, Command, Cond, Operand, Stmt};
+use crate::ids::{CmdId, MethodId, VarId};
+use crate::lower::{self, Body, Lowered};
+use crate::parser::{lex, ParseError, Parser, SMethod, Tok};
+use crate::program::Program;
+use crate::stmt::{Command, Stmt};
 use crate::validate;
 
 /// One program edit. Statement ops address commands by their ordinal in
@@ -193,295 +192,57 @@ fn apply_one(p: &mut Program, op: &EditOp) -> Result<AppliedEdit, EditError> {
 // ------------------------------------------------------------ resolution
 
 /// Resolves `"Class.name"` or a bare free-function name to a live method.
-pub fn find_method(p: &Program, spec: &str) -> Result<MethodId, EditError> {
-    if let Some((cname, mname)) = spec.split_once('.') {
-        let c = p
-            .class_by_name(cname)
-            .ok_or_else(|| EditError { message: format!("unknown class {cname}") })?;
-        p.method_on(c, mname)
-            .ok_or_else(|| EditError { message: format!("no method {mname} on class {cname}") })
-    } else {
-        p.free_function(spec)
-            .ok_or_else(|| EditError { message: format!("unknown function {spec}") })
-    }
-}
-
-fn local(p: &Program, m: MethodId, name: &str) -> Result<VarId, EditError> {
-    p.method(m).locals.iter().copied().find(|&v| p.var(v).name == name).ok_or_else(|| EditError {
-        message: format!("unknown variable {name} in {}", p.method_name(m)),
-    })
-}
-
-fn lower_ty(p: &Program, t: &STy) -> Result<Ty, EditError> {
-    Ok(match t {
-        STy::Int => Ty::Int,
-        STy::Array => Ty::Ref(p.array_class),
-        STy::Class(name) => Ty::Ref(
-            p.class_by_name(name)
-                .ok_or_else(|| EditError { message: format!("unknown class {name}") })?,
-        ),
-    })
-}
-
-fn lower_operand(p: &Program, m: MethodId, o: &SOperand) -> Result<Operand, EditError> {
-    Ok(match o {
-        SOperand::Var(name) => Operand::Var(local(p, m, name)?),
-        SOperand::Int(n) => Operand::Int(*n),
-        SOperand::Null => Operand::Null,
-    })
-}
-
-fn lower_cond(p: &Program, m: MethodId, c: &SCond) -> Result<Cond, EditError> {
-    Ok(match c {
-        SCond::Nondet => Cond::Nondet,
-        SCond::True => Cond::True,
-        SCond::Cmp(op, l, r) => {
-            Cond::Cmp { op: *op, lhs: lower_operand(p, m, l)?, rhs: lower_operand(p, m, r)? }
-        }
-    })
-}
-
-fn field_of(
-    p: &Program,
-    _m: MethodId,
-    base: VarId,
-    fname: &str,
-) -> Result<crate::ids::FieldId, EditError> {
-    let class = match p.var(base).ty {
-        Ty::Ref(c) => c,
-        Ty::Int => {
-            return err(format!("field access on integer variable {}", p.var(base).name));
-        }
+fn find_method(p: &Program, spec: &str) -> Result<MethodId, EditError> {
+    let (class, name) = match spec.split_once('.') {
+        Some((class, name)) => (Some(class), name),
+        None => (None, spec),
     };
-    p.resolve_field(class, fname).ok_or_else(|| EditError {
-        message: format!("no field {fname} on class of {}", p.var(base).name),
-    })
+    p.method_named(class, name).map_err(|message| EditError { message })
 }
 
-fn fresh_alloc(
-    p: &mut Program,
-    m: MethodId,
-    site: &str,
-    class: crate::ids::ClassId,
-) -> Result<AllocId, EditError> {
-    if p.allocs.iter().any(|a| a.name == site) {
-        return err(format!(
-            "allocation site name @{site} already exists; site names must stay unique"
-        ));
-    }
-    let id = AllocId::from_index(p.allocs.len());
-    p.allocs.push(AllocSite { name: site.to_owned(), class, method: m });
-    Ok(id)
+/// A lowering error inside edit text; the op names the location.
+fn lowering(e: ParseError) -> EditError {
+    EditError { message: e.message }
 }
 
-// --------------------------------------------------------------- lowering
+const NO_CONTROL_FLOW: &str =
+    "control flow is not allowed in statement edits; add a method instead";
 
-enum LoweredStmt {
-    Var(VarId),
-    Cmd(Command),
-}
-
-/// Lowers one surface statement against the live program. Control-flow
-/// statements are rejected here (only whole added methods may introduce
-/// branches/loops).
-fn lower_simple(p: &mut Program, m: MethodId, s: &SStmt) -> Result<LoweredStmt, EditError> {
-    match s {
-        SStmt::VarDecl { name, ty, .. } => {
-            if local(p, m, name).is_ok() {
-                return err(format!("variable {name} already declared in {}", p.method_name(m)));
-            }
-            let t = lower_ty(p, ty)?;
-            let v = VarId::from_index(p.vars.len());
-            p.vars.push(VarInfo { name: name.clone(), ty: t, method: m });
-            p.methods[m.index()].locals.push(v);
-            Ok(LoweredStmt::Var(v))
-        }
-        SStmt::Return { val, .. } => {
-            let val = match val {
-                Some(o) => Some(lower_operand(p, m, o)?),
-                None => None,
-            };
-            Ok(LoweredStmt::Cmd(Command::Return { val }))
-        }
-        SStmt::Assume { cond, .. } => {
-            Ok(LoweredStmt::Cmd(Command::Assume { cond: lower_cond(p, m, cond)? }))
-        }
-        SStmt::CallStmt { dst, call, .. } => {
-            let dst = match dst {
-                Some(name) => Some(local(p, m, name)?),
-                None => None,
-            };
-            Ok(LoweredStmt::Cmd(lower_call(p, m, dst, call)?))
-        }
-        SStmt::Assign { lhs, rhs, .. } => Ok(LoweredStmt::Cmd(lower_assign(p, m, lhs, rhs)?)),
-        SStmt::If { .. } | SStmt::While { .. } | SStmt::Loop { .. } | SStmt::Choice { .. } => {
-            err("control flow is not allowed in statement edits; add a method instead")
-        }
-    }
-}
-
-fn lower_call(
-    p: &Program,
-    m: MethodId,
-    dst: Option<VarId>,
-    call: &SCall,
-) -> Result<Command, EditError> {
-    match call {
-        SCall::Virtual { receiver, method, args } => {
-            let recv = local(p, m, receiver)?;
-            let args =
-                args.iter().map(|a| lower_operand(p, m, a)).collect::<Result<Vec<_>, _>>()?;
-            Ok(Command::Call {
-                dst,
-                callee: Callee::Virtual { receiver: recv, method: method.clone() },
-                args,
-            })
-        }
-        SCall::Static { class, method, args } => {
-            let mid = match class {
-                Some(cname) => {
-                    let c = p
-                        .class_by_name(cname)
-                        .ok_or_else(|| EditError { message: format!("unknown class {cname}") })?;
-                    p.method_on(c, method).ok_or_else(|| EditError {
-                        message: format!("no method {method} on class {cname}"),
-                    })?
-                }
-                None => p
-                    .free_function(method)
-                    .ok_or_else(|| EditError { message: format!("unknown function {method}") })?,
-            };
-            let args =
-                args.iter().map(|a| lower_operand(p, m, a)).collect::<Result<Vec<_>, _>>()?;
-            Ok(Command::Call { dst, callee: Callee::Static { method: mid }, args })
-        }
-    }
-}
-
-fn rvalue_as_operand(p: &Program, m: MethodId, rhs: &SRvalue) -> Result<Operand, EditError> {
-    match rhs {
-        SRvalue::Operand(o) => lower_operand(p, m, o),
-        _ => err("compound right-hand side not allowed here; use a temporary"),
-    }
-}
-
-fn lower_assign(
-    p: &mut Program,
-    m: MethodId,
-    lhs: &SLvalue,
-    rhs: &SRvalue,
-) -> Result<Command, EditError> {
-    match lhs {
-        SLvalue::Var(name) => {
-            let dst = local(p, m, name)?;
-            match rhs {
-                SRvalue::Operand(o) => Ok(Command::Assign { dst, src: lower_operand(p, m, o)? }),
-                SRvalue::BinOp(op, l, r) => Ok(Command::BinOp {
-                    dst,
-                    op: *op,
-                    lhs: lower_operand(p, m, l)?,
-                    rhs: lower_operand(p, m, r)?,
-                }),
-                SRvalue::Field(base, f) => {
-                    let obj = local(p, m, base)?;
-                    let field = field_of(p, m, obj, f)?;
-                    Ok(Command::ReadField { dst, obj, field })
-                }
-                SRvalue::Index(base, idx) => {
-                    let arr = local(p, m, base)?;
-                    let idx = lower_operand(p, m, idx)?;
-                    Ok(Command::ReadArray { dst, arr, idx })
-                }
-                SRvalue::Global(g) => {
-                    let global = p
-                        .global_by_name(g)
-                        .ok_or_else(|| EditError { message: format!("unknown global {g}") })?;
-                    Ok(Command::ReadGlobal { dst, global })
-                }
-                SRvalue::New { class, site } => {
-                    let cid = p
-                        .class_by_name(class)
-                        .ok_or_else(|| EditError { message: format!("unknown class {class}") })?;
-                    let alloc = fresh_alloc(p, m, site, cid)?;
-                    Ok(Command::New { dst, class: cid, alloc })
-                }
-                SRvalue::NewArray { site, len } => {
-                    let len = lower_operand(p, m, len)?;
-                    let class = p.array_class;
-                    let alloc = fresh_alloc(p, m, site, class)?;
-                    Ok(Command::NewArray { dst, alloc, len })
-                }
-                SRvalue::Len(arr) => {
-                    let arr = local(p, m, arr)?;
-                    Ok(Command::ArrayLen { dst, arr })
-                }
-            }
-        }
-        SLvalue::Field(base, f) => {
-            let obj = local(p, m, base)?;
-            let field = field_of(p, m, obj, f)?;
-            let src = rvalue_as_operand(p, m, rhs)?;
-            Ok(Command::WriteField { obj, field, src })
-        }
-        SLvalue::Index(base, idx) => {
-            let arr = local(p, m, base)?;
-            let idx = lower_operand(p, m, idx)?;
-            let src = rvalue_as_operand(p, m, rhs)?;
-            Ok(Command::WriteArray { arr, idx, src })
-        }
-        SLvalue::Global(g) => {
-            let global = p
-                .global_by_name(g)
-                .ok_or_else(|| EditError { message: format!("unknown global {g}") })?;
-            let src = rvalue_as_operand(p, m, rhs)?;
-            Ok(Command::WriteGlobal { global, src })
-        }
-    }
-}
-
-fn push_cmd(p: &mut Program, m: MethodId, cmd: Command) -> CmdId {
-    let id = CmdId::from_index(p.cmds.len());
-    p.cmds.push(cmd);
-    p.cmd_method.push(m);
-    id
+/// Parses and lowers the one statement of a statement edit into `m`.
+fn lower_stmt(p: &mut Program, m: MethodId, text: &str) -> Result<Lowered, EditError> {
+    let s = parse_text(text, "statement", Parser::parse_stmt)?;
+    Body::new(p, m).stmt(&s).map_err(lowering)
 }
 
 // ------------------------------------------------------------ snippets
 
-fn parse_stmt_text(text: &str) -> Result<SStmt, EditError> {
-    let toks =
-        lex(text).map_err(|e| EditError { message: format!("statement parse error: {e}") })?;
-    let mut parser = Parser { toks, pos: 0 };
-    let s = parser
-        .parse_stmt()
-        .map_err(|e| EditError { message: format!("statement parse error: {e}") })?;
+/// Parses edit text holding exactly one `what`, read by `item`.
+fn parse_text<T>(
+    text: &str,
+    what: &str,
+    item: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+) -> Result<T, EditError> {
+    let syntax = |e: ParseError| EditError { message: format!("{what} parse error: {e}") };
+    let mut parser = Parser { toks: lex(text).map_err(syntax)?, pos: 0 };
+    let parsed = item(&mut parser).map_err(syntax)?;
     if !matches!(parser.peek(), Tok::Eof) {
-        return err("trailing input after statement");
+        return err(format!("trailing input after {what}"));
     }
-    Ok(s)
+    Ok(parsed)
 }
 
+/// Parses method text: `method ...` onto a class, `fn ...` otherwise.
 fn parse_method_text(text: &str, class: Option<&str>) -> Result<SMethod, EditError> {
-    let toks = lex(text).map_err(|e| EditError { message: format!("method parse error: {e}") })?;
-    let mut parser = Parser { toks, pos: 0 };
-    let line = parser.line();
-    let kw_ok = match class {
-        Some(_) => parser.eat_kw("method"),
-        None => parser.eat_kw("fn"),
-    };
-    if !kw_ok {
-        return err(match class {
-            Some(_) => "instance method text must start with `method`",
-            None => "free function text must start with `fn`",
-        });
-    }
-    let sm = parser
-        .parse_method(line)
-        .map_err(|e| EditError { message: format!("method parse error: {e}") })?;
-    if !matches!(parser.peek(), Tok::Eof) {
-        return err("trailing input after method");
-    }
-    Ok(sm)
+    let (kw, kind) =
+        if class.is_some() { ("method", "instance method") } else { ("fn", "free function") };
+    parse_text(text, "method", |parser| {
+        let line = parser.line();
+        if !parser.eat_kw(kw) {
+            let message = format!("{kind} text must start with `{kw}`");
+            return Err(ParseError { line, column: 1, message });
+        }
+        parser.parse_method(line)
+    })
 }
 
 // ---------------------------------------------------------- body surgery
@@ -583,37 +344,62 @@ fn replace_leaf(s: &mut Stmt, old: CmdId, new: CmdId) -> bool {
 
 // ------------------------------------------------------------------- ops
 
+/// Resolves a statement op's `method` and its commands in program order,
+/// with `at` in range: at most one past the end for an insertion, on a
+/// command otherwise.
+fn target(
+    p: &Program,
+    method: &str,
+    at: usize,
+    insert: bool,
+) -> Result<(MethodId, Vec<CmdId>), EditError> {
+    let m = find_method(p, method)?;
+    let cmds = p.method_cmds(m);
+    if at > cmds.len() || (at == cmds.len() && !insert) {
+        let what = if insert { "insert position" } else { "command ordinal" };
+        let (name, n) = (p.method_name(m), cmds.len());
+        return err(format!("{what} {at} out of range for {name} ({n} commands)"));
+    }
+    Ok((m, cmds))
+}
+
+/// Rewrites `m`'s body with `surgery`, which reports whether it found the
+/// `at`-th command.
+fn splice(
+    p: &mut Program,
+    m: MethodId,
+    at: usize,
+    surgery: impl FnOnce(&Program, &mut Stmt) -> bool,
+) -> Result<(), EditError> {
+    let mut body = std::mem::replace(&mut p.methods[m.index()].body, Stmt::Skip);
+    let found = surgery(p, &mut body);
+    p.methods[m.index()].body = body;
+    if !found {
+        return err(format!("command ordinal {at} not found in body"));
+    }
+    Ok(())
+}
+
 fn add_stmt(
     p: &mut Program,
     method: &str,
     at: usize,
     text: &str,
 ) -> Result<AppliedEdit, EditError> {
-    let m = find_method(p, method)?;
-    let cmds = p.method_cmds(m);
-    if at > cmds.len() {
-        return err(format!(
-            "insert position {at} out of range for {} ({} commands)",
-            p.method_name(m),
-            cmds.len()
-        ));
-    }
-    let s = parse_stmt_text(text)?;
-    match lower_simple(p, m, &s)? {
-        LoweredStmt::Var(v) => Ok(AppliedEdit::AddedVar { method: m, var: v }),
-        LoweredStmt::Cmd(cmd) => {
-            let id = push_cmd(p, m, cmd);
-            let mut body = std::mem::replace(&mut p.methods[m.index()].body, Stmt::Skip);
-            if at == cmds.len() {
-                append_cmd(p, &mut body, id);
-            } else if !insert_before(&mut body, cmds[at], id) {
-                p.methods[m.index()].body = body;
-                return err(format!("command ordinal {at} not found in body"));
-            }
-            p.methods[m.index()].body = body;
-            Ok(AppliedEdit::AddedCmd { method: m, cmd: id })
+    let (m, cmds) = target(p, method, at, true)?;
+    let id = match lower_stmt(p, m, text)? {
+        Lowered::Var(var) => return Ok(AppliedEdit::AddedVar { method: m, var }),
+        Lowered::Cmd(id) => id,
+        Lowered::Stmt(_) => return err(NO_CONTROL_FLOW),
+    };
+    splice(p, m, at, |p, body| match cmds.get(at) {
+        Some(&before) => insert_before(body, before, id),
+        None => {
+            append_cmd(p, body, id);
+            true
         }
-    }
+    })?;
+    Ok(AppliedEdit::AddedCmd { method: m, cmd: id })
 }
 
 fn replace_stmt(
@@ -622,54 +408,28 @@ fn replace_stmt(
     at: usize,
     text: &str,
 ) -> Result<AppliedEdit, EditError> {
-    let m = find_method(p, method)?;
-    let cmds = p.method_cmds(m);
-    if at >= cmds.len() {
-        return err(format!(
-            "command ordinal {at} out of range for {} ({} commands)",
-            p.method_name(m),
-            cmds.len()
-        ));
-    }
-    let s = parse_stmt_text(text)?;
-    let cmd = match lower_simple(p, m, &s)? {
-        LoweredStmt::Cmd(cmd) => cmd,
-        LoweredStmt::Var(_) => return err("replacement must be a command, not a declaration"),
+    let (m, cmds) = target(p, method, at, false)?;
+    let new = match lower_stmt(p, m, text)? {
+        Lowered::Cmd(new) => new,
+        Lowered::Var(_) => return err("replacement must be a command, not a declaration"),
+        Lowered::Stmt(_) => return err(NO_CONTROL_FLOW),
     };
-    let new = push_cmd(p, m, cmd);
     let old = cmds[at];
-    let mut body = std::mem::replace(&mut p.methods[m.index()].body, Stmt::Skip);
-    let found = replace_leaf(&mut body, old, new);
-    p.methods[m.index()].body = body;
-    if !found {
-        return err(format!("command ordinal {at} not found in body"));
-    }
+    splice(p, m, at, |_, body| replace_leaf(body, old, new))?;
     Ok(AppliedEdit::ReplacedCmd { method: m, old, new })
 }
 
 fn remove_stmt(p: &mut Program, method: &str, at: usize) -> Result<AppliedEdit, EditError> {
-    let m = find_method(p, method)?;
-    let cmds = p.method_cmds(m);
-    if at >= cmds.len() {
-        return err(format!(
-            "command ordinal {at} out of range for {} ({} commands)",
-            p.method_name(m),
-            cmds.len()
-        ));
-    }
-    let target = cmds[at];
-    let mut body = std::mem::replace(&mut p.methods[m.index()].body, Stmt::Skip);
-    let found = if matches!(body, Stmt::Cmd(c) if c == target) {
-        body = Stmt::Skip;
-        true
-    } else {
-        remove_leaf(&mut body, target)
-    };
-    p.methods[m.index()].body = body;
-    if !found {
-        return err(format!("command ordinal {at} not found in body"));
-    }
-    Ok(AppliedEdit::RemovedCmd { method: m, cmd: target })
+    let (m, cmds) = target(p, method, at, false)?;
+    let cmd = cmds[at];
+    splice(p, m, at, |_, body| {
+        if matches!(body, Stmt::Cmd(c) if *c == cmd) {
+            *body = Stmt::Skip;
+            return true;
+        }
+        remove_leaf(body, cmd)
+    })?;
+    Ok(AppliedEdit::RemovedCmd { method: m, cmd })
 }
 
 fn add_method(p: &mut Program, class: Option<&str>, text: &str) -> Result<AppliedEdit, EditError> {
@@ -681,95 +441,9 @@ fn add_method(p: &mut Program, class: Option<&str>, text: &str) -> Result<Applie
         None => None,
     };
     let sm = parse_method_text(text, class)?;
-    match cid {
-        Some(c) => {
-            if p.method_on(c, &sm.name).is_some() {
-                return err(format!("method {} already exists on {}", sm.name, class.unwrap()));
-            }
-        }
-        None => {
-            if p.free_function(&sm.name).is_some() {
-                return err(format!("function {} already exists", sm.name));
-            }
-        }
-    }
-
-    let id = MethodId::from_index(p.methods.len());
-    let mut param_ids = Vec::new();
-    for (i, (pname, pty)) in sm.params.iter().enumerate() {
-        if let Some(c) = cid {
-            if i == 0 {
-                if pname != "this" {
-                    return err(format!("first parameter of method {} must be `this`", sm.name));
-                }
-                let v = VarId::from_index(p.vars.len());
-                p.vars.push(VarInfo { name: "this".to_owned(), ty: Ty::Ref(c), method: id });
-                param_ids.push(v);
-                continue;
-            }
-        }
-        let t = lower_ty(p, pty)?;
-        let v = VarId::from_index(p.vars.len());
-        p.vars.push(VarInfo { name: pname.clone(), ty: t, method: id });
-        param_ids.push(v);
-    }
-    let ret_ty = match &sm.ret {
-        Some(t) => Some(lower_ty(p, t)?),
-        None => None,
-    };
-    p.methods.push(Method {
-        name: sm.name.clone(),
-        class: cid,
-        params: param_ids.clone(),
-        locals: param_ids,
-        ret_ty,
-        body: Stmt::Skip,
-        removed: false,
-    });
-    if let Some(c) = cid {
-        p.classes[c.index()].methods.push(id);
-    }
-    let body = lower_block(p, id, &sm.body)?;
-    p.methods[id.index()].body = body;
-    let cmds = p.method_cmds(id);
-    Ok(AppliedEdit::AddedMethod { method: id, cmds })
-}
-
-/// Lowers a full statement block (control flow allowed) for a new method.
-fn lower_block(p: &mut Program, m: MethodId, stmts: &[SStmt]) -> Result<Stmt, EditError> {
-    let mut out = Vec::new();
-    for s in stmts {
-        match s {
-            SStmt::If { cond, then_br, else_br, .. } => {
-                let c = lower_cond(p, m, cond)?;
-                let t = lower_block(p, m, then_br)?;
-                let e = lower_block(p, m, else_br)?;
-                out.push(Stmt::If { cond: c, then_br: Box::new(t), else_br: Box::new(e) });
-            }
-            SStmt::While { cond, body, .. } => {
-                let c = lower_cond(p, m, cond)?;
-                let b = lower_block(p, m, body)?;
-                out.push(Stmt::While { cond: c, body: Box::new(b) });
-            }
-            SStmt::Loop { body } => {
-                let b = lower_block(p, m, body)?;
-                out.push(Stmt::Loop(Box::new(b)));
-            }
-            SStmt::Choice { left, right } => {
-                let l = lower_block(p, m, left)?;
-                let r = lower_block(p, m, right)?;
-                out.push(Stmt::Choice(Box::new(l), Box::new(r)));
-            }
-            simple => match lower_simple(p, m, simple)? {
-                LoweredStmt::Var(_) => {}
-                LoweredStmt::Cmd(cmd) => {
-                    let id = push_cmd(p, m, cmd);
-                    out.push(Stmt::Cmd(id));
-                }
-            },
-        }
-    }
-    Ok(Stmt::Seq(out))
+    let id = lower::signature(p, cid, &sm).map_err(lowering)?;
+    lower::body(p, id, &sm.body).map_err(lowering)?;
+    Ok(AppliedEdit::AddedMethod { method: id, cmds: p.method_cmds(id) })
 }
 
 fn remove_method(p: &mut Program, spec: &str) -> Result<AppliedEdit, EditError> {
@@ -778,11 +452,7 @@ fn remove_method(p: &mut Program, spec: &str) -> Result<AppliedEdit, EditError> 
         return err(format!("cannot remove entry method {}", p.method_name(m)));
     }
     let cmds = p.method_cmds(m);
-    let class = p.methods[m.index()].class;
-    p.methods[m.index()].removed = true;
-    if let Some(c) = class {
-        p.classes[c.index()].methods.retain(|&x| x != m);
-    }
+    p.remove_method(m);
     Ok(AppliedEdit::RemovedMethod { method: m, cmds })
 }
 
@@ -887,7 +557,7 @@ entry main;
             }],
         )
         .unwrap_err();
-        assert!(e.message.contains("already exists"), "{e}");
+        assert!(e.message.contains("duplicate allocation site @cell0"), "{e}");
     }
 
     #[test]

@@ -41,6 +41,15 @@
 //!
 //! The pretty-printer [`print_program`] emits the same syntax, and
 //! round-trips through [`parse`].
+//!
+//! Both ways in, and the statement and method edits of [`apply_edits`],
+//! go through one lowering into the program's arenas, with one set of
+//! declaration rules. Names are unique per scope: class, global and free
+//! function per program; field and method per class; local and parameter
+//! per method. Allocation-site names are unique per program, removed sites
+//! included, because analyses key facts by site name. A duplicate is a
+//! [`ParseError`] from [`parse`], an [`EditError`] from [`apply_edits`] and
+//! a panic in [`ProgramBuilder`].
 
 #![warn(missing_docs)]
 
@@ -48,6 +57,7 @@ mod builder;
 pub mod edit;
 mod ids;
 pub mod interp;
+mod lower;
 mod parser;
 mod printer;
 mod program;

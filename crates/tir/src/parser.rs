@@ -1,4 +1,7 @@
-//! Textual front-end for the IR.
+//! Textual front-end for the IR: the lexer, the parser and the surface AST
+//! it builds, which the one lowering (`lower.rs`) turns into a [`Program`].
+//! Statement and method edits ([`crate::apply_edits`]) parse and lower
+//! their text through the same code.
 //!
 //! The grammar (emitted by [`crate::print_program`]):
 //!
@@ -33,14 +36,18 @@
 //! cond      := "*" | "true" | operand cmpop operand
 //! operand   := IDENT | INT | "-" INT | "null"
 //! ```
+//!
+//! Names are unique per scope: class, global and free function per
+//! program; field and method per class; local and parameter per method
+//! (an instance method's `this` included). Allocation-site names are
+//! unique per program. A duplicate is a [`ParseError`] on the line of the
+//! declaration lowered second (class members before free functions), and
+//! a class may not extend one of its own subclasses.
 
-use std::collections::HashMap;
 use std::fmt;
 
-use crate::builder::{MethodBuilder, ProgramBuilder};
-use crate::ids::{ClassId, MethodId, VarId};
-use crate::program::{Program, Ty};
-use crate::stmt::{BinOp, CmpOp, Cond, Operand};
+use crate::program::Program;
+use crate::stmt::{BinOp, CmpOp};
 
 /// A parse or name-resolution error, with a 1-based source position.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -186,20 +193,20 @@ pub(crate) fn lex(src: &str) -> PResult<Vec<SpannedTok>> {
 // ---------------------------------------------------------- surface AST
 
 #[derive(Debug)]
-struct SProgram {
-    classes: Vec<SClass>,
-    globals: Vec<(String, STy, usize)>,
-    fns: Vec<SMethod>,
-    entry: Option<(String, usize)>,
+pub(crate) struct SProgram {
+    pub(crate) classes: Vec<SClass>,
+    pub(crate) globals: Vec<(String, STy, usize)>,
+    pub(crate) fns: Vec<SMethod>,
+    pub(crate) entry: Option<(String, usize)>,
 }
 
 #[derive(Debug)]
-struct SClass {
-    name: String,
-    superclass: Option<String>,
-    fields: Vec<(String, STy, usize)>,
-    methods: Vec<SMethod>,
-    line: usize,
+pub(crate) struct SClass {
+    pub(crate) name: String,
+    pub(crate) superclass: Option<String>,
+    pub(crate) fields: Vec<(String, STy, usize)>,
+    pub(crate) methods: Vec<SMethod>,
+    pub(crate) line: usize,
 }
 
 #[derive(Debug)]
@@ -679,416 +686,16 @@ impl Parser {
     }
 }
 
-// ------------------------------------------------------------- lowering
-
-struct Lowerer {
-    class_ids: HashMap<String, ClassId>,
-    global_ids: HashMap<String, crate::ids::GlobalId>,
-    // (class name or "", method name) -> id
-    method_ids: HashMap<(String, String), MethodId>,
-}
-
-impl Lowerer {
-    fn ty(&self, b: &ProgramBuilder, sty: &STy, line: usize) -> PResult<Ty> {
-        Ok(match sty {
-            STy::Int => Ty::Int,
-            STy::Array => Ty::Ref(b.array_class()),
-            STy::Class(name) => Ty::Ref(*self.class_ids.get(name).ok_or_else(|| ParseError {
-                line,
-                column: 0,
-                message: format!("unknown class {name}"),
-            })?),
-        })
-    }
-}
-
-struct BodyCx<'l> {
-    lower: &'l Lowerer,
-    vars: HashMap<String, VarId>,
-}
-
-impl<'l> BodyCx<'l> {
-    fn var(&self, name: &str, line: usize) -> PResult<VarId> {
-        self.vars.get(name).copied().ok_or_else(|| ParseError {
-            line,
-            column: 0,
-            message: format!("unknown variable {name}"),
-        })
-    }
-
-    fn operand(&self, o: &SOperand, line: usize) -> PResult<Operand> {
-        Ok(match o {
-            SOperand::Var(name) => Operand::Var(self.var(name, line)?),
-            SOperand::Int(n) => Operand::Int(*n),
-            SOperand::Null => Operand::Null,
-        })
-    }
-
-    fn cond(&self, c: &SCond, line: usize) -> PResult<Cond> {
-        Ok(match c {
-            SCond::Nondet => Cond::Nondet,
-            SCond::True => Cond::True,
-            SCond::Cmp(op, l, r) => {
-                Cond::Cmp { op: *op, lhs: self.operand(l, line)?, rhs: self.operand(r, line)? }
-            }
-        })
-    }
-}
-
 /// Parses the textual IR syntax into a validated [`Program`].
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on lexical, syntactic, or name-resolution
-/// failures, and on validation failures (reported at line 0).
+/// Returns a [`ParseError`] on lexical, syntactic, name-resolution or
+/// declaration failures, and on validation failures (reported at line 0).
 pub fn parse(src: &str) -> Result<Program, ParseError> {
-    let toks = lex(src)?;
-    let mut parser = Parser { toks, pos: 0 };
-    let sp = parser.parse_program()?;
-
-    let mut b = ProgramBuilder::new();
-    let mut lower = Lowerer {
-        class_ids: HashMap::new(),
-        global_ids: HashMap::new(),
-        method_ids: HashMap::new(),
-    };
-    lower.class_ids.insert("Object".to_owned(), b.object_class());
-    lower.class_ids.insert("Array".to_owned(), b.array_class());
-
-    // Pass 1a: declare classes (two rounds so `extends` may be forward).
-    for sc in &sp.classes {
-        if lower.class_ids.contains_key(&sc.name) {
-            return Err(ParseError {
-                line: sc.line,
-                column: 0,
-                message: format!("duplicate class {}", sc.name),
-            });
-        }
-        let id = b.class(&sc.name, None);
-        lower.class_ids.insert(sc.name.clone(), id);
-    }
-    for sc in &sp.classes {
-        if let Some(sup) = &sc.superclass {
-            let sup_id = *lower.class_ids.get(sup).ok_or_else(|| ParseError {
-                line: sc.line,
-                column: 0,
-                message: format!("unknown superclass {sup}"),
-            })?;
-            let id = lower.class_ids[&sc.name];
-            b.set_superclass(id, sup_id);
-        }
-    }
-    // Pass 1b: fields, globals, method signatures.
-    for sc in &sp.classes {
-        let cid = lower.class_ids[&sc.name];
-        for (fname, fty, line) in &sc.fields {
-            let ty = lower.ty(&b, fty, *line)?;
-            b.field(cid, fname, ty);
-        }
-    }
-    for (gname, gty, line) in &sp.globals {
-        let ty = lower.ty(&b, gty, *line)?;
-        let id = b.global(gname, ty);
-        lower.global_ids.insert(gname.clone(), id);
-    }
-    let declare = |b: &mut ProgramBuilder,
-                   lower: &Lowerer,
-                   class: Option<ClassId>,
-                   sm: &SMethod|
-     -> PResult<MethodId> {
-        let mut params: Vec<(String, Ty)> = Vec::new();
-        for (i, (pname, pty)) in sm.params.iter().enumerate() {
-            // For instance methods the explicit `this` param in source is
-            // dropped (the builder creates it).
-            if class.is_some() && i == 0 {
-                if pname != "this" {
-                    return Err(ParseError {
-                        line: sm.line,
-                        column: 0,
-                        message: format!("first parameter of method {} must be `this`", sm.name),
-                    });
-                }
-                continue;
-            }
-            params.push((pname.clone(), lower.ty(b, pty, sm.line)?));
-        }
-        let params_ref: Vec<(&str, Ty)> = params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-        let ret = match &sm.ret {
-            Some(t) => Some(lower.ty(b, t, sm.line)?),
-            None => None,
-        };
-        Ok(b.declare_method(class, &sm.name, &params_ref, ret))
-    };
-    for sc in &sp.classes {
-        let cid = lower.class_ids[&sc.name];
-        for sm in &sc.methods {
-            let id = declare(&mut b, &lower, Some(cid), sm)?;
-            lower.method_ids.insert((sc.name.clone(), sm.name.clone()), id);
-        }
-    }
-    for sm in &sp.fns {
-        let id = declare(&mut b, &lower, None, sm)?;
-        lower.method_ids.insert((String::new(), sm.name.clone()), id);
-    }
-
-    // Pass 2: bodies.
-    for sc in &sp.classes {
-        for sm in &sc.methods {
-            let id = lower.method_ids[&(sc.name.clone(), sm.name.clone())];
-            lower_body(&mut b, &lower, id, sm)?;
-        }
-    }
-    for sm in &sp.fns {
-        let id = lower.method_ids[&(String::new(), sm.name.clone())];
-        lower_body(&mut b, &lower, id, sm)?;
-    }
-
-    if let Some((entry, line)) = &sp.entry {
-        let id =
-            *lower.method_ids.get(&(String::new(), entry.clone())).ok_or_else(|| ParseError {
-                line: *line,
-                column: 0,
-                message: format!("unknown entry function {entry}"),
-            })?;
-        b.set_entry(id);
-    }
-
-    b.try_finish().map_err(|e| ParseError { line: 0, column: 0, message: e.message })
-}
-
-fn lower_body(b: &mut ProgramBuilder, lower: &Lowerer, id: MethodId, sm: &SMethod) -> PResult<()> {
-    let mut result: PResult<()> = Ok(());
-    b.define_method(id, |mb| {
-        let mut cx = BodyCx { lower, vars: HashMap::new() };
-        // Bind parameters (including implicit this).
-        for &p in mb.params() {
-            cx.vars.insert(mb.var_name(p), p);
-        }
-        result = lower_in(&mut cx, mb, &sm.body);
-    });
-    result
-}
-
-fn lower_in(cx: &mut BodyCx, mb: &mut MethodBuilder, stmts: &[SStmt]) -> PResult<()> {
-    for s in stmts {
-        match s {
-            SStmt::VarDecl { name, ty, line } => {
-                let t = cx.lower.ty(mb.program_builder(), ty, *line)?;
-                let v = mb.var(name, t);
-                cx.vars.insert(name.clone(), v);
-            }
-            SStmt::If { cond, then_br, else_br, line } => {
-                let c = cx.cond(cond, *line)?;
-                mb.begin_block();
-                let r1 = lower_in(cx, mb, then_br);
-                let t = mb.end_block();
-                mb.begin_block();
-                let r2 = lower_in(cx, mb, else_br);
-                let e = mb.end_block();
-                r1?;
-                r2?;
-                mb.push_if(c, t, e);
-            }
-            SStmt::While { cond, body, line } => {
-                let c = cx.cond(cond, *line)?;
-                mb.begin_block();
-                let r = lower_in(cx, mb, body);
-                let body_s = mb.end_block();
-                r?;
-                mb.push_while(c, body_s);
-            }
-            SStmt::Loop { body } => {
-                mb.begin_block();
-                let r = lower_in(cx, mb, body);
-                let body_s = mb.end_block();
-                r?;
-                mb.push_loop(body_s);
-            }
-            SStmt::Choice { left, right } => {
-                mb.begin_block();
-                let r1 = lower_in(cx, mb, left);
-                let l = mb.end_block();
-                mb.begin_block();
-                let r2 = lower_in(cx, mb, right);
-                let rgt = mb.end_block();
-                r1?;
-                r2?;
-                mb.push_choice(l, rgt);
-            }
-            SStmt::Return { val, line } => match val {
-                Some(v) => {
-                    let o = cx.operand(v, *line)?;
-                    mb.ret(o);
-                }
-                None => {
-                    mb.ret_void();
-                }
-            },
-            SStmt::Assume { cond, line } => {
-                let c = cx.cond(cond, *line)?;
-                mb.assume(c);
-            }
-            SStmt::CallStmt { dst, call, line } => {
-                let dst_v = match dst {
-                    Some(name) => Some(cx.var(name, *line)?),
-                    None => None,
-                };
-                lower_call(cx, mb, dst_v, call, *line)?;
-            }
-            SStmt::Assign { lhs, rhs, line } => lower_assign(cx, mb, lhs, rhs, *line)?,
-        }
-    }
-    Ok(())
-}
-
-fn field_of(
-    cx: &BodyCx,
-    mb: &MethodBuilder,
-    base: VarId,
-    fname: &str,
-    line: usize,
-) -> PResult<crate::ids::FieldId> {
-    let class = match mb.var_ty(base) {
-        Ty::Ref(c) => c,
-        Ty::Int => {
-            return Err(ParseError {
-                line,
-                column: 0,
-                message: format!("field access on integer variable {}", mb.var_name(base)),
-            })
-        }
-    };
-    let _ = cx;
-    mb.resolve_field(class, fname).ok_or_else(|| ParseError {
-        line,
-        column: 0,
-        message: format!("no field {fname} on class of {}", mb.var_name(base)),
-    })
-}
-
-fn lower_assign(
-    cx: &mut BodyCx,
-    mb: &mut MethodBuilder,
-    lhs: &SLvalue,
-    rhs: &SRvalue,
-    line: usize,
-) -> PResult<()> {
-    match lhs {
-        SLvalue::Var(name) => {
-            let dst = cx.var(name, line)?;
-            match rhs {
-                SRvalue::Operand(o) => {
-                    let o = cx.operand(o, line)?;
-                    mb.assign(dst, o);
-                }
-                SRvalue::BinOp(op, l, r) => {
-                    let l = cx.operand(l, line)?;
-                    let r = cx.operand(r, line)?;
-                    mb.binop(dst, *op, l, r);
-                }
-                SRvalue::Field(base, f) => {
-                    let b_v = cx.var(base, line)?;
-                    let fid = field_of(cx, mb, b_v, f, line)?;
-                    mb.read_field(dst, b_v, fid);
-                }
-                SRvalue::Index(base, idx) => {
-                    let b_v = cx.var(base, line)?;
-                    let idx = cx.operand(idx, line)?;
-                    mb.read_array(dst, b_v, idx);
-                }
-                SRvalue::Global(g) => {
-                    let gid = *cx.lower.global_ids.get(g).ok_or_else(|| ParseError {
-                        line,
-                        column: 0,
-                        message: format!("unknown global {g}"),
-                    })?;
-                    mb.read_global(dst, gid);
-                }
-                SRvalue::New { class, site } => {
-                    let cid = *cx.lower.class_ids.get(class).ok_or_else(|| ParseError {
-                        line,
-                        column: 0,
-                        message: format!("unknown class {class}"),
-                    })?;
-                    mb.new_obj(dst, cid, site);
-                }
-                SRvalue::NewArray { site, len } => {
-                    let len = cx.operand(len, line)?;
-                    mb.new_array(dst, site, len);
-                }
-                SRvalue::Len(arr) => {
-                    let a = cx.var(arr, line)?;
-                    mb.array_len(dst, a);
-                }
-            }
-        }
-        SLvalue::Field(base, f) => {
-            let b_v = cx.var(base, line)?;
-            let fid = field_of(cx, mb, b_v, f, line)?;
-            let src = rvalue_as_operand(cx, rhs, line)?;
-            mb.write_field(b_v, fid, src);
-        }
-        SLvalue::Index(base, idx) => {
-            let b_v = cx.var(base, line)?;
-            let idx = cx.operand(idx, line)?;
-            let src = rvalue_as_operand(cx, rhs, line)?;
-            mb.write_array(b_v, idx, src);
-        }
-        SLvalue::Global(g) => {
-            let gid = *cx.lower.global_ids.get(g).ok_or_else(|| ParseError {
-                line,
-                column: 0,
-                message: format!("unknown global {g}"),
-            })?;
-            let src = rvalue_as_operand(cx, rhs, line)?;
-            mb.write_global(gid, src);
-        }
-    }
-    Ok(())
-}
-
-fn rvalue_as_operand(cx: &BodyCx, rhs: &SRvalue, line: usize) -> PResult<Operand> {
-    match rhs {
-        SRvalue::Operand(o) => cx.operand(o, line),
-        _ => Err(ParseError {
-            line,
-            column: 0,
-            message: "compound right-hand side not allowed here; use a temporary".to_owned(),
-        }),
-    }
-}
-
-fn lower_call(
-    cx: &mut BodyCx,
-    mb: &mut MethodBuilder,
-    dst: Option<VarId>,
-    call: &SCall,
-    line: usize,
-) -> PResult<()> {
-    match call {
-        SCall::Virtual { receiver, method, args } => {
-            let recv = cx.var(receiver, line)?;
-            let args: Vec<Operand> =
-                args.iter().map(|a| cx.operand(a, line)).collect::<PResult<_>>()?;
-            mb.call_virtual(dst, recv, method, &args);
-        }
-        SCall::Static { class, method, args } => {
-            let key = (class.clone().unwrap_or_default(), method.clone());
-            let mid = *cx.lower.method_ids.get(&key).ok_or_else(|| ParseError {
-                line,
-                column: 0,
-                message: format!(
-                    "unknown function {}{}",
-                    class.as_deref().map(|c| format!("{c}::")).unwrap_or_default(),
-                    method
-                ),
-            })?;
-            let args: Vec<Operand> =
-                args.iter().map(|a| cx.operand(a, line)).collect::<PResult<_>>()?;
-            mb.call_static(dst, mid, &args);
-        }
-    }
-    Ok(())
+    let mut parser = Parser { toks: lex(src)?, pos: 0 };
+    let program = parser.parse_program()?;
+    crate::lower::program(&program)
 }
 
 #[cfg(test)]

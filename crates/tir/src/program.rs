@@ -2,8 +2,11 @@
 //! variables, allocation sites, and commands.
 
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::Arc;
 
 use crate::ids::{AllocId, ClassId, CmdId, FieldId, GlobalId, MethodId, VarId};
+use crate::lower::Names;
 use crate::stmt::{Command, Stmt};
 
 /// A value type: integers or references to a class.
@@ -38,7 +41,7 @@ pub struct Class {
 /// An instance field declaration.
 #[derive(Clone, Debug)]
 pub struct Field {
-    /// Field name (unique within its class chain).
+    /// Field name, unique within its declaring class.
     pub name: String,
     /// Declaring class.
     pub owner: ClassId,
@@ -58,7 +61,8 @@ pub struct Global {
 /// A method declaration with its body.
 #[derive(Clone, Debug)]
 pub struct Method {
-    /// Simple method name (virtual dispatch key within a class chain).
+    /// Simple method name (virtual dispatch key within a class chain),
+    /// unique within its class, or among the free functions.
     pub name: String,
     /// Declaring class; `None` for free (static) functions.
     pub class: Option<ClassId>,
@@ -80,7 +84,7 @@ pub struct Method {
 /// A local variable or parameter.
 #[derive(Clone, Debug)]
 pub struct VarInfo {
-    /// Source name.
+    /// Source name, unique within its method.
     pub name: String,
     /// Declared type.
     pub ty: Ty,
@@ -91,7 +95,8 @@ pub struct VarInfo {
 /// An allocation site.
 #[derive(Clone, Debug)]
 pub struct AllocSite {
-    /// Site name used in diagnostics and points-to graphs (e.g. `vec0`).
+    /// Site name used in diagnostics and points-to graphs (e.g. `vec0`),
+    /// unique program-wide, removed sites included.
     pub name: String,
     /// Allocated class ([`Program::array_class`] for arrays).
     pub class: ClassId,
@@ -102,8 +107,11 @@ pub struct AllocSite {
 /// A whole program: class hierarchy, globals, methods, and an entry point.
 ///
 /// Programs are constructed via [`crate::ProgramBuilder`] or parsed from the
-/// textual syntax by [`crate::parse`], and are immutable afterwards.
-#[derive(Clone, Debug)]
+/// textual syntax by [`crate::parse`]. Afterwards only
+/// [`crate::apply_edits`] changes one: it appends to the arenas and
+/// rewrites method bodies, so an id, once handed out, names the same entity
+/// for the program's life.
+#[derive(Clone)]
 pub struct Program {
     pub(crate) classes: Vec<Class>,
     pub(crate) fields: Vec<Field>,
@@ -122,6 +130,28 @@ pub struct Program {
     pub contents_field: FieldId,
     /// The synthetic integer `len` field of arrays.
     pub len_field: FieldId,
+    pub(crate) names: Arc<Names>,
+}
+
+/// Leaves out `names`, an index over the arenas.
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("classes", &self.classes)
+            .field("fields", &self.fields)
+            .field("globals", &self.globals)
+            .field("methods", &self.methods)
+            .field("vars", &self.vars)
+            .field("allocs", &self.allocs)
+            .field("cmds", &self.cmds)
+            .field("cmd_method", &self.cmd_method)
+            .field("entry", &self.entry)
+            .field("object_class", &self.object_class)
+            .field("array_class", &self.array_class)
+            .field("contents_field", &self.contents_field)
+            .field("len_field", &self.len_field)
+            .finish()
+    }
 }
 
 impl Program {
@@ -212,29 +242,22 @@ impl Program {
 
     /// Finds a class by name.
     pub fn class_by_name(&self, name: &str) -> Option<ClassId> {
-        self.classes.iter().position(|c| c.name == name).map(ClassId::from_index)
+        self.names.classes.get(name).copied()
     }
 
     /// Finds a global by name.
     pub fn global_by_name(&self, name: &str) -> Option<GlobalId> {
-        self.globals.iter().position(|g| g.name == name).map(GlobalId::from_index)
+        self.names.globals.get(name).copied()
     }
 
-    /// Finds the method named `name` declared directly on `class`.
+    /// Finds the live method named `name` declared directly on `class`.
     pub fn method_on(&self, class: ClassId, name: &str) -> Option<MethodId> {
-        self.class(class)
-            .methods
-            .iter()
-            .copied()
-            .find(|&m| !self.method(m).removed && self.method(m).name == name)
+        self.class(class).methods.iter().copied().find(|&m| self.method(m).name == name)
     }
 
-    /// Finds a free function by name.
+    /// Finds a live free function by name.
     pub fn free_function(&self, name: &str) -> Option<MethodId> {
-        self.method_ids().find(|&m| {
-            let method = self.method(m);
-            method.class.is_none() && !method.removed && method.name == name
-        })
+        self.names.functions.get(name).copied()
     }
 
     /// Resolves a virtual call `name` on dynamic class `class` by walking the

@@ -143,12 +143,14 @@ fn validate_method(program: &Program, m: MethodId) -> Result<(), ValidateError> 
                         Ty::Ref(c) => c,
                         Ty::Int => unreachable!("checked by check_ref"),
                     };
-                    // At least one class in the cone must define the method.
-                    let any = program
-                        .subclasses(recv_class)
-                        .iter()
-                        .any(|&c| program.resolve_method(c, method).is_some());
-                    if !any && program.resolve_method(recv_class, method).is_none() {
+                    // At least one class in the cone must define the method;
+                    // the receiver's own class, checked first, usually does.
+                    if program.resolve_method(recv_class, method).is_none()
+                        && !program
+                            .subclasses(recv_class)
+                            .iter()
+                            .any(|&c| program.resolve_method(c, method).is_some())
+                    {
                         return err(format!("{name}: no target for virtual call {method}"));
                     }
                 }

@@ -64,6 +64,12 @@ fn cli_failure_band() {
     fs::write(&good, PROGRAM).expect("write program");
     let bad = dir.join("broken.tir");
     fs::write(&bad, "class {{{ not tir").expect("write broken program");
+    let duplicate = dir.join("duplicate.tir");
+    fs::write(
+        &duplicate,
+        PROGRAM.replace("global CACHE: Box;", "global CACHE: Box;\nglobal CACHE: Box;"),
+    )
+    .expect("write program with a duplicate global");
 
     // Usage errors -> 64.
     assert_eq!(cli(&["--definitely-not-a-flag"]), Some(64));
@@ -78,8 +84,9 @@ fn cli_failure_band() {
     assert_eq!(cli(&[good.to_str().unwrap(), "--cache", "off"]), Some(64));
     // Missing input -> 66.
     assert_eq!(cli(&[dir.join("missing.tir").to_str().unwrap()]), Some(66));
-    // Parse error -> 65.
+    // Parse error -> 65, a duplicate declaration included.
     assert_eq!(cli(&[bad.to_str().unwrap()]), Some(65));
+    assert_eq!(cli(&[duplicate.to_str().unwrap()]), Some(65));
     // --diff-reports with unreadable inputs -> 66.
     assert_eq!(cli(&["--diff-reports", "no-such-a.json", "no-such-b.json"]), Some(66));
     let _ = fs::remove_dir_all(&dir);

@@ -188,6 +188,26 @@ fn fault_suite_daemon_survives_and_isolates() {
     let _ = fs::remove_dir_all(&cache);
 }
 
+/// A source with a duplicate declaration is a bad request, answered like
+/// any other parse error; no handler panics.
+#[test]
+fn duplicate_global_load_is_a_bad_request() {
+    let daemon = Daemon::new(ServeConfig::default());
+    let source = PROGRAM.replace("global CACHE: Box;", "global CACHE: Box;\nglobal CACHE: Box;");
+    let script = [
+        request(1, "load_program", &[("name", Value::str("dup")), ("source", Value::str(source))]),
+        load_req(2, "boxy"),
+        query_req(3, "boxy", "str0", &[]),
+    ]
+    .join("\n");
+    let (lines, summary) = daemon.run_script(&script);
+    assert_eq!(err_code(&lines, 1), "bad-request");
+    let message = response_for(&lines, 1).get("err").and_then(|e| e.get("message")).cloned();
+    assert_eq!(message, Some(Value::str("parse error: line 4: duplicate global CACHE")));
+    assert!(ok_body(&lines, 3).contains("\"reachable\":true"));
+    assert_eq!(summary.panicked, 0);
+}
+
 /// A per-request report (params `report: true`) from the daemon is
 /// `--diff-reports`-equivalent to a one-shot `thresher-cli` run of the
 /// same load + query.
