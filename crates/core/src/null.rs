@@ -47,16 +47,15 @@
 //!
 //! [`SymexConfig::track_null_guards`]: symex::SymexConfig
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use obs::json::Value;
-use pta::{ModRef, PtaResult};
+use pta::{BitSet, ModRef, PtaResult};
 use symex::{
     AbortCounts, DecisionStore, DerefSite, EdgeAnswer, RefutationScheduler, SymexConfig, Tally,
     Witness,
 };
-use tir::{Callee, CmdId, Command, FieldId, GlobalId, MethodId, Operand, Program, VarId};
+use tir::{Callee, CmdId, Command, Operand, Program};
 
 /// One candidate null dereference and its refutation verdict.
 #[derive(Clone, Debug)]
@@ -166,14 +165,26 @@ pub struct NullClient<'a> {
     store: Option<Arc<DecisionStore>>,
 }
 
-/// The sentinel lattice: which nodes may hold `null`.
+/// The sentinel lattice: which nodes may hold `null`, each keyed by its
+/// dense id.
 #[derive(Default)]
 struct Sentinel {
-    vars: HashSet<VarId>,
-    /// `(loc index, field)` cells written a may-null value.
-    cells: HashSet<(usize, FieldId)>,
-    globals: HashSet<GlobalId>,
-    rets: HashSet<MethodId>,
+    vars: BitSet,
+    /// Per field, the locations whose cell of that field was written a
+    /// may-null value.
+    cells: Vec<BitSet>,
+    globals: BitSet,
+    rets: BitSet,
+}
+
+impl Sentinel {
+    fn op_may_null(&self, op: &Operand) -> bool {
+        match op {
+            Operand::Null => true,
+            Operand::Var(v) => self.vars.contains(v.index()),
+            Operand::Int(_) => false,
+        }
+    }
 }
 
 impl<'a> NullClient<'a> {
@@ -230,7 +241,7 @@ impl<'a> NullClient<'a> {
                     Command::Call { callee: Callee::Virtual { receiver, .. }, .. } => *receiver,
                     _ => return None,
                 };
-                sentinel.vars.contains(&base).then_some(DerefSite { cmd, base })
+                sentinel.vars.contains(base.index()).then_some(DerefSite { cmd, base })
             })
             .collect();
         sites.sort();
@@ -239,83 +250,87 @@ impl<'a> NullClient<'a> {
 
     /// Runs the sentinel fixpoint over the reached commands.
     fn sentinel(&self, cmds: &[CmdId]) -> Sentinel {
-        // Written cells/globals, for the null-at-birth/entry seeds: a cell
-        // no write ever targets yields null on every read.
-        let mut written_cells: HashSet<(usize, FieldId)> = HashSet::new();
-        let mut written_globals: HashSet<GlobalId> = HashSet::new();
+        let (program, pta) = (self.program, self.pta);
+        let fields = program.field_ids().count();
+        // Written cells (per field, the written locations) and globals, for
+        // the null-at-birth/entry seeds: a cell no write ever targets
+        // yields null on every read.
+        let mut written_cells = vec![BitSet::new(); fields];
+        let mut written_globals = BitSet::new();
         for &cmd in cmds {
-            match self.program.cmd(cmd) {
+            match program.cmd(cmd) {
                 Command::WriteField { obj, field, .. } => {
-                    for l in self.pta.pt_var(*obj).iter() {
-                        written_cells.insert((l, *field));
-                    }
+                    written_cells[field.index()].union_with(pta.pt_var(*obj));
                 }
                 Command::WriteGlobal { global, .. } => {
-                    written_globals.insert(*global);
+                    written_globals.insert(global.index());
                 }
                 _ => {}
             }
         }
 
-        let mut s = Sentinel::default();
-        let op_may_null = |s: &Sentinel, op: &Operand| match op {
-            Operand::Null => true,
-            Operand::Var(v) => s.vars.contains(v),
-            Operand::Int(_) => false,
-        };
-        let cell_may_null =
-            |s: &Sentinel, obj: VarId, field: FieldId| {
-                field == self.program.contents_field
-                    || self.pta.pt_var(obj).iter().any(|l| {
-                        !written_cells.contains(&(l, field)) || s.cells.contains(&(l, field))
-                    })
-            };
+        let mut s = Sentinel { cells: vec![BitSet::new(); fields], ..Sentinel::default() };
+        // The seeds no round changes: reads of array elements (null at
+        // birth, unconditionally), of a global never written, and of a
+        // field whose base may be a location with that cell never written.
+        for &cmd in cmds {
+            match program.cmd(cmd) {
+                Command::ReadField { dst, obj, field }
+                    if *field == program.contents_field
+                        || !pta.pt_var(*obj).is_subset(&written_cells[field.index()]) =>
+                {
+                    s.vars.insert(dst.index());
+                }
+                Command::ReadGlobal { dst, global }
+                    if !written_globals.contains(global.index()) =>
+                {
+                    s.vars.insert(dst.index());
+                }
+                Command::ReadArray { dst, .. } => {
+                    s.vars.insert(dst.index());
+                }
+                _ => {}
+            }
+        }
         loop {
             let mut changed = false;
-            let mark_var = |s: &mut Sentinel, v: VarId, changed: &mut bool| {
-                *changed |= s.vars.insert(v);
-            };
             for &cmd in cmds {
-                match self.program.cmd(cmd) {
-                    Command::Assign { dst, src } if op_may_null(&s, src) => {
-                        mark_var(&mut s, *dst, &mut changed);
+                match program.cmd(cmd) {
+                    Command::Assign { dst, src } if s.op_may_null(src) => {
+                        changed |= s.vars.insert(dst.index());
                     }
-                    Command::ReadField { dst, obj, field } if cell_may_null(&s, *obj, *field) => {
-                        mark_var(&mut s, *dst, &mut changed);
-                    }
-                    Command::ReadGlobal { dst, global }
-                        if !written_globals.contains(global) || s.globals.contains(global) =>
+                    Command::ReadField { dst, obj, field }
+                        if !pta.pt_var(*obj).is_disjoint(&s.cells[field.index()]) =>
                     {
-                        mark_var(&mut s, *dst, &mut changed);
+                        changed |= s.vars.insert(dst.index());
                     }
-                    // Array elements are null at birth, unconditionally.
-                    Command::ReadArray { dst, .. } => mark_var(&mut s, *dst, &mut changed),
-                    Command::WriteField { obj, field, src } if op_may_null(&s, src) => {
-                        for l in self.pta.pt_var(*obj).iter() {
-                            changed |= s.cells.insert((l, *field));
-                        }
+                    Command::ReadGlobal { dst, global } if s.globals.contains(global.index()) => {
+                        changed |= s.vars.insert(dst.index());
                     }
-                    Command::WriteGlobal { global, src } if op_may_null(&s, src) => {
-                        changed |= s.globals.insert(*global);
+                    Command::WriteField { obj, field, src } if s.op_may_null(src) => {
+                        changed |= s.cells[field.index()].union_with(pta.pt_var(*obj));
+                    }
+                    Command::WriteGlobal { global, src } if s.op_may_null(src) => {
+                        changed |= s.globals.insert(global.index());
                     }
                     Command::Call { dst, callee, args } => {
                         let offset = usize::from(matches!(callee, Callee::Virtual { .. }));
-                        for m in self.pta.call_targets(cmd) {
-                            let params = &self.program.method(*m).params;
+                        for m in pta.call_targets(cmd) {
+                            let params = &program.method(*m).params;
                             for (i, a) in args.iter().enumerate() {
-                                if op_may_null(&s, a) {
+                                if s.op_may_null(a) {
                                     if let Some(&p) = params.get(i + offset) {
-                                        mark_var(&mut s, p, &mut changed);
+                                        changed |= s.vars.insert(p.index());
                                     }
                                 }
                             }
-                            if let (Some(d), true) = (dst, s.rets.contains(m)) {
-                                mark_var(&mut s, *d, &mut changed);
+                            if let (Some(d), true) = (dst, s.rets.contains(m.index())) {
+                                changed |= s.vars.insert(d.index());
                             }
                         }
                     }
-                    Command::Return { val: Some(op) } if op_may_null(&s, op) => {
-                        changed |= s.rets.insert(self.program.cmd_method(cmd));
+                    Command::Return { val: Some(op) } if s.op_may_null(op) => {
+                        changed |= s.rets.insert(program.cmd_method(cmd).index());
                     }
                     _ => {}
                 }
@@ -378,7 +393,7 @@ fn may_null_vars(client: &NullClient<'_>) -> std::collections::HashMap<String, b
     let mut out = std::collections::HashMap::new();
     for m in client.program.method_ids() {
         for &v in &client.program.method(m).locals {
-            out.insert(client.program.var(v).name.clone(), s.vars.contains(&v));
+            out.insert(client.program.var(v).name.clone(), s.vars.contains(v.index()));
         }
     }
     out

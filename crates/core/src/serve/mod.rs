@@ -880,6 +880,8 @@ impl Shared {
             }),
         };
 
+        // The batch's one copy of the program: `apply_edits` edits it in
+        // place and rolls it back itself on failure.
         let mut program = res.program.clone();
         let applied = match phases.time("edit", || tir::apply_edits(&mut program, &ops)) {
             Ok(applied) => applied,

@@ -76,8 +76,13 @@ pub struct Engine<'a> {
     /// Empty query vectors kept for reuse, so walking statements allocates
     /// no result vectors.
     spare: Vec<Vec<Query>>,
-    /// Memoized statement path of each command (see [`Engine::cmd_path`]).
-    paths: Vec<Option<Arc<[usize]>>>,
+    /// Memoized statement paths (see [`Engine::cmd_path`]): per method, the
+    /// paths of all its commands back to back in one buffer.
+    method_paths: Vec<Option<Arc<[usize]>>>,
+    /// Per command, the range of its path in its method's buffer.
+    path_spans: Vec<Option<(u32, u32)>>,
+    /// Reused buffer a method's paths are collected in.
+    path_buf: Vec<usize>,
     /// Reused location set for narrowing targets computed per transfer.
     pub(crate) scratch: BitSet,
 }
@@ -107,7 +112,9 @@ impl<'a> Engine<'a> {
             engine_deadline,
             ticks: 0,
             spare: Vec::new(),
-            paths: Vec::new(),
+            method_paths: Vec::new(),
+            path_spans: Vec::new(),
+            path_buf: Vec::new(),
             scratch: BitSet::new(),
         }
     }
@@ -124,19 +131,36 @@ impl<'a> Engine<'a> {
     }
 
     /// The position of command `cmd` in its method body, as
-    /// [`Stmt::path_to`] finds it; computed once per command and engine.
-    pub(crate) fn cmd_path(&mut self, cmd: CmdId) -> Arc<[usize]> {
-        if self.paths.is_empty() {
-            self.paths.resize(self.program.num_cmds(), None);
+    /// [`Stmt::path_to`] finds it. The first lookup into a method walks its
+    /// body once and records the path of every command in it, so a search
+    /// costs the same in a large method as in a small one.
+    pub(crate) fn cmd_path(&mut self, cmd: CmdId) -> CmdPath {
+        let program = self.program;
+        if self.method_paths.is_empty() {
+            self.method_paths.resize(program.method_ids().count(), None);
+            self.path_spans.resize(program.num_cmds(), None);
         }
-        if let Some(path) = &self.paths[cmd.index()] {
-            return path.clone();
-        }
-        let body = &self.program.method(self.program.cmd_method(cmd)).body;
-        let path: Arc<[usize]> =
-            body.path_to(cmd).expect("command not found in its own method body").into();
-        self.paths[cmd.index()] = Some(path.clone());
-        path
+        let method = program.cmd_method(cmd);
+        let paths = match &self.method_paths[method.index()] {
+            Some(paths) => paths.clone(),
+            None => {
+                let (buf, spans) = (&mut self.path_buf, &mut self.path_spans);
+                let offset =
+                    |n: usize| u32::try_from(n).expect("one method's paths fit in u32 offsets");
+                buf.clear();
+                program.method(method).body.for_each_cmd_path(&mut |c, path| {
+                    let start = offset(buf.len());
+                    buf.extend_from_slice(path);
+                    spans[c.index()] = Some((start, offset(buf.len())));
+                });
+                let paths: Arc<[usize]> = buf[..].into();
+                self.method_paths[method.index()] = Some(paths.clone());
+                paths
+            }
+        };
+        let (start, end) =
+            self.path_spans[cmd.index()].expect("command not found in its own method body");
+        CmdPath { paths, start, end }
     }
 
     /// The active configuration.
@@ -990,6 +1014,22 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// A command's statement path (see [`Engine::cmd_path`]): its range of the
+/// path buffer shared by every command of its method.
+pub(crate) struct CmdPath {
+    paths: Arc<[usize]>,
+    start: u32,
+    end: u32,
+}
+
+impl std::ops::Deref for CmdPath {
+    type Target = [usize];
+
+    fn deref(&self) -> &[usize] {
+        &self.paths[self.start as usize..self.end as usize]
+    }
+}
+
 /// Outcome of [`Engine::refute_edge_resilient`], with retry provenance.
 #[derive(Clone, Debug)]
 pub struct EdgeDecision {
@@ -1024,6 +1064,37 @@ mod tests {
         Engine::new(program, pta, modref, SymexConfig::default())
     }
 
+    /// Every command's memoized path is `Stmt::path_to`'s answer and leads
+    /// back to the command through `Stmt::child`; returns which of `If`,
+    /// `Choice` and `While` some command is nested under.
+    fn check_memoized_paths(name: &str, program: &Program) -> [bool; 3] {
+        let pta = pta::analyze(program, ContextPolicy::Insensitive);
+        let modref = ModRef::compute(program, &pta);
+        let mut engine = engine_for(program, &pta, &modref);
+        let mut under = [false; 3];
+        for i in 0..program.num_cmds() {
+            let cmd = CmdId::from_index(i);
+            let body = &program.method(program.cmd_method(cmd)).body;
+            let expected = body.path_to(cmd).expect("every command sits in its method body");
+            // The first lookup into a method walks it, later ones hit the
+            // memo; both must be `path_to`'s answer.
+            assert_eq!(*engine.cmd_path(cmd), expected[..], "{name}: cmd {i}");
+            assert_eq!(*engine.cmd_path(cmd), expected[..], "{name}: cmd {i}");
+            let mut s = body;
+            for &k in &expected {
+                match s {
+                    Stmt::If { .. } => under[0] = true,
+                    Stmt::Choice(..) => under[1] = true,
+                    Stmt::While { .. } => under[2] = true,
+                    _ => {}
+                }
+                s = s.child(k);
+            }
+            assert!(matches!(s, Stmt::Cmd(c) if *c == cmd), "{name}: cmd {i}");
+        }
+        under
+    }
+
     #[test]
     fn memoized_paths_match_path_to_on_every_corpus_command() {
         let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
@@ -1034,21 +1105,54 @@ mod tests {
             .collect();
         files.sort();
         assert!(files.len() >= 7, "corpus files missing: {files:?}");
-        for file in files {
-            let src = std::fs::read_to_string(&file).expect("read corpus file");
-            let program = tir::parse(&src).expect("corpus file parses");
-            let pta = pta::analyze(&program, ContextPolicy::Insensitive);
-            let modref = ModRef::compute(&program, &pta);
-            let mut engine = engine_for(&program, &pta, &modref);
-            for i in 0..program.num_cmds() {
-                let cmd = CmdId::from_index(i);
-                let body = &program.method(program.cmd_method(cmd)).body;
-                let expected = body.path_to(cmd).expect("every command sits in its method body");
-                // The first lookup computes the path, the second hits the
-                // memo; both must be `path_to`'s answer.
-                assert_eq!(*engine.cmd_path(cmd), expected[..], "{}: cmd {i}", file.display());
-                assert_eq!(*engine.cmd_path(cmd), expected[..], "{}: cmd {i}", file.display());
-            }
+        let mut programs: Vec<_> = files
+            .iter()
+            .map(|file| {
+                let src = std::fs::read_to_string(file).expect("read corpus file");
+                (file.display().to_string(), tir::parse(&src).expect("corpus file parses"))
+            })
+            .collect();
+        // The null motifs nest dereferences under choice fans and guards.
+        let groups = apps::scale::scaled_null_groups(4);
+        programs.push(("null motifs".into(), apps::null_motifs::build_null_program(&groups)));
+        let mut under = [false; 3];
+        for (name, program) in &programs {
+            let nested = check_memoized_paths(name, program);
+            under = std::array::from_fn(|k| under[k] || nested[k]);
+        }
+        assert_eq!(under, [true; 3], "commands nested under If, Choice and While");
+    }
+
+    /// The first lookup into a method records the path of every command
+    /// in it, in one buffer; no other method is walked.
+    #[test]
+    fn one_cmd_path_miss_memoizes_its_whole_method() {
+        let src = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../corpus/fig1_vec_null_object.tir"
+        ))
+        .expect("read corpus file");
+        let program = tir::parse(&src).expect("corpus file parses");
+        let pta = pta::analyze(&program, ContextPolicy::Insensitive);
+        let modref = ModRef::compute(&program, &pta);
+        let mut engine = engine_for(&program, &pta, &modref);
+        let main = program.entry();
+        let cmds = program.method_cmds(main);
+        assert!(cmds.len() > 1, "main has several commands");
+        let first = engine.cmd_path(cmds[cmds.len() / 2]);
+        for m in program.method_ids() {
+            assert_eq!(engine.method_paths[m.index()].is_some(), m == main, "method {m:?}");
+        }
+        for i in 0..program.num_cmds() {
+            let cmd = CmdId::from_index(i);
+            let in_main = program.cmd_method(cmd) == main;
+            assert_eq!(engine.path_spans[i].is_some(), in_main, "cmd {i}");
+        }
+        for &cmd in &cmds {
+            assert!(
+                Arc::ptr_eq(&engine.cmd_path(cmd).paths, &first.paths),
+                "one buffer per method"
+            );
         }
     }
 

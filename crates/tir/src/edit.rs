@@ -13,11 +13,12 @@
 //! state across edits keyed by stable ids.
 
 use std::fmt;
+use std::sync::Arc;
 
-use crate::ids::{CmdId, MethodId, VarId};
-use crate::lower::{self, Body, Lowered};
+use crate::ids::{ClassId, CmdId, MethodId, VarId};
+use crate::lower::{self, Body, Lowered, Names};
 use crate::parser::{lex, ParseError, Parser, SMethod, Tok};
-use crate::program::Program;
+use crate::program::{Class, Method, Program};
 use crate::stmt::{Command, Stmt};
 use crate::validate;
 
@@ -165,27 +166,100 @@ pub enum AppliedEdit {
 /// Returns an [`EditError`] if any op fails to parse, resolve, or lower, or
 /// if the edited program fails [`validate::validate`].
 pub fn apply_edits(program: &mut Program, ops: &[EditOp]) -> Result<Vec<AppliedEdit>, EditError> {
-    let mut next = program.clone();
+    let mut undo = Undo::mark(program);
+    let result = apply_all(program, ops, &mut undo);
+    if result.is_err() {
+        undo.roll_back(program);
+    }
+    result
+}
+
+fn apply_all(
+    p: &mut Program,
+    ops: &[EditOp],
+    undo: &mut Undo,
+) -> Result<Vec<AppliedEdit>, EditError> {
     let mut applied = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         applied.push(
-            apply_one(&mut next, op)
+            apply_one(p, op, undo)
                 .map_err(|e| EditError { message: format!("edit {i} ({}): {e}", op.kind()) })?,
         );
     }
-    validate::validate(&next)
+    validate::validate(p)
         .map_err(|e| EditError { message: format!("edit batch produces invalid program: {e}") })?;
-    *program = next;
     Ok(applied)
 }
 
-fn apply_one(p: &mut Program, op: &EditOp) -> Result<AppliedEdit, EditError> {
+fn apply_one(p: &mut Program, op: &EditOp, undo: &mut Undo) -> Result<AppliedEdit, EditError> {
     match op {
-        EditOp::AddStmt { method, at, text } => add_stmt(p, method, *at, text),
-        EditOp::ReplaceStmt { method, at, text } => replace_stmt(p, method, *at, text),
-        EditOp::RemoveStmt { method, at } => remove_stmt(p, method, *at),
-        EditOp::AddMethod { class, text } => add_method(p, class.as_deref(), text),
-        EditOp::RemoveMethod { method } => remove_method(p, method),
+        EditOp::AddStmt { method, at, text } => add_stmt(p, undo, method, *at, text),
+        EditOp::ReplaceStmt { method, at, text } => replace_stmt(p, undo, method, *at, text),
+        EditOp::RemoveStmt { method, at } => remove_stmt(p, undo, method, *at),
+        EditOp::AddMethod { class, text } => add_method(p, undo, class.as_deref(), text),
+        EditOp::RemoveMethod { method } => remove_method(p, undo, method),
+    }
+}
+
+// ----------------------------------------------------------- rollback
+
+/// What a failed batch restores, so a batch edits its program in place
+/// instead of a copy. Arenas only grow, and an edit declares no class,
+/// field or global, so truncating the method, variable, allocation-site
+/// and command arenas to their lengths at the start drops everything the
+/// batch declared. The name index, and each existing method and class an
+/// op changes, are kept as they were before their first change.
+struct Undo {
+    methods: usize,
+    vars: usize,
+    allocs: usize,
+    cmds: usize,
+    names: Arc<Names>,
+    saved_methods: Vec<(MethodId, Method)>,
+    saved_classes: Vec<(ClassId, Class)>,
+}
+
+impl Undo {
+    fn mark(p: &Program) -> Undo {
+        Undo {
+            methods: p.methods.len(),
+            vars: p.vars.len(),
+            allocs: p.allocs.len(),
+            cmds: p.cmds.len(),
+            names: p.names.clone(),
+            saved_methods: Vec::new(),
+            saved_classes: Vec::new(),
+        }
+    }
+
+    /// Keeps method `m` as it is now, unless it is kept already or new in
+    /// this batch.
+    fn save_method(&mut self, p: &Program, m: MethodId) {
+        if m.index() < self.methods && self.saved_methods.iter().all(|&(x, _)| x != m) {
+            self.saved_methods.push((m, p.method(m).clone()));
+        }
+    }
+
+    /// Keeps class `c` (its method list) as it is now.
+    fn save_class(&mut self, p: &Program, c: ClassId) {
+        if self.saved_classes.iter().all(|&(x, _)| x != c) {
+            self.saved_classes.push((c, p.class(c).clone()));
+        }
+    }
+
+    fn roll_back(self, p: &mut Program) {
+        p.methods.truncate(self.methods);
+        p.vars.truncate(self.vars);
+        p.allocs.truncate(self.allocs);
+        p.cmds.truncate(self.cmds);
+        p.cmd_method.truncate(self.cmds);
+        for (m, method) in self.saved_methods {
+            p.methods[m.index()] = method;
+        }
+        for (c, class) in self.saved_classes {
+            p.classes[c.index()] = class;
+        }
+        p.names = self.names;
     }
 }
 
@@ -382,11 +456,13 @@ fn splice(
 
 fn add_stmt(
     p: &mut Program,
+    undo: &mut Undo,
     method: &str,
     at: usize,
     text: &str,
 ) -> Result<AppliedEdit, EditError> {
     let (m, cmds) = target(p, method, at, true)?;
+    undo.save_method(p, m);
     let id = match lower_stmt(p, m, text)? {
         Lowered::Var(var) => return Ok(AppliedEdit::AddedVar { method: m, var }),
         Lowered::Cmd(id) => id,
@@ -404,11 +480,13 @@ fn add_stmt(
 
 fn replace_stmt(
     p: &mut Program,
+    undo: &mut Undo,
     method: &str,
     at: usize,
     text: &str,
 ) -> Result<AppliedEdit, EditError> {
     let (m, cmds) = target(p, method, at, false)?;
+    undo.save_method(p, m);
     let new = match lower_stmt(p, m, text)? {
         Lowered::Cmd(new) => new,
         Lowered::Var(_) => return err("replacement must be a command, not a declaration"),
@@ -419,8 +497,14 @@ fn replace_stmt(
     Ok(AppliedEdit::ReplacedCmd { method: m, old, new })
 }
 
-fn remove_stmt(p: &mut Program, method: &str, at: usize) -> Result<AppliedEdit, EditError> {
+fn remove_stmt(
+    p: &mut Program,
+    undo: &mut Undo,
+    method: &str,
+    at: usize,
+) -> Result<AppliedEdit, EditError> {
     let (m, cmds) = target(p, method, at, false)?;
+    undo.save_method(p, m);
     let cmd = cmds[at];
     splice(p, m, at, |_, body| {
         if matches!(body, Stmt::Cmd(c) if *c == cmd) {
@@ -432,7 +516,12 @@ fn remove_stmt(p: &mut Program, method: &str, at: usize) -> Result<AppliedEdit, 
     Ok(AppliedEdit::RemovedCmd { method: m, cmd })
 }
 
-fn add_method(p: &mut Program, class: Option<&str>, text: &str) -> Result<AppliedEdit, EditError> {
+fn add_method(
+    p: &mut Program,
+    undo: &mut Undo,
+    class: Option<&str>,
+    text: &str,
+) -> Result<AppliedEdit, EditError> {
     let cid = match class {
         Some(cname) => Some(
             p.class_by_name(cname)
@@ -440,16 +529,23 @@ fn add_method(p: &mut Program, class: Option<&str>, text: &str) -> Result<Applie
         ),
         None => None,
     };
+    if let Some(c) = cid {
+        undo.save_class(p, c);
+    }
     let sm = parse_method_text(text, class)?;
     let id = lower::signature(p, cid, &sm).map_err(lowering)?;
     lower::body(p, id, &sm.body).map_err(lowering)?;
     Ok(AppliedEdit::AddedMethod { method: id, cmds: p.method_cmds(id) })
 }
 
-fn remove_method(p: &mut Program, spec: &str) -> Result<AppliedEdit, EditError> {
+fn remove_method(p: &mut Program, undo: &mut Undo, spec: &str) -> Result<AppliedEdit, EditError> {
     let m = find_method(p, spec)?;
     if p.entry == Some(m) {
         return err(format!("cannot remove entry method {}", p.method_name(m)));
+    }
+    undo.save_method(p, m);
+    if let Some(c) = p.method(m).class {
+        undo.save_class(p, c);
     }
     let cmds = p.method_cmds(m);
     p.remove_method(m);
@@ -697,6 +793,61 @@ entry main;
         .unwrap_err();
         assert!(e.message.contains("unknown variable"), "{e}");
         assert_eq!(print_program(&p), before);
+    }
+
+    /// A failed batch of any op kinds leaves the arenas `{:?}`-identical
+    /// and frees every name it declared: the batch without its failing op
+    /// then applies exactly as it does on a fresh program.
+    #[test]
+    fn failed_batches_restore_arenas_and_names() {
+        let add = |method: &str, at: usize, text: &str| EditOp::AddStmt {
+            method: method.into(),
+            at,
+            text: text.into(),
+        };
+        let remove = |method: &str, at: usize| EditOp::RemoveStmt { method: method.into(), at };
+        let replace = EditOp::ReplaceStmt {
+            method: "main".into(),
+            at: 0,
+            text: "c = new Cell @cell8;".into(),
+        };
+        let helper = EditOp::AddMethod {
+            class: None,
+            text:
+                "fn helper(x: int): int {\n  var o: Cell;\n  o = new Cell @cell7;\n  return x;\n}"
+                    .into(),
+        };
+        let put = EditOp::AddMethod {
+            class: Some("Cell".into()),
+            text: "method put(this: Cell, v: int) {\n  this.val = v;\n  return;\n}".into(),
+        };
+        let remove_get = EditOp::RemoveMethod { method: "Cell.get".into() };
+        let bogus = add("main", 0, "bogus = 1;");
+        let cases: Vec<(Vec<EditOp>, EditOp)> = vec![
+            (
+                vec![add("main", 0, "var t: Cell;"), add("main", 0, "t = new Cell @cell9;")],
+                bogus.clone(),
+            ),
+            (vec![replace], bogus.clone()),
+            (vec![remove("main", 1)], bogus.clone()),
+            (vec![helper, add("helper", 0, "x = 2;")], bogus.clone()),
+            (vec![put, add("Cell.put", 0, "v = 2;"), add("Cell.get", 0, "v = 3;")], bogus.clone()),
+            (vec![remove("main", 2), remove_get.clone()], bogus),
+            // Fails validation: main still calls get.
+            (vec![], remove_get),
+        ];
+        for (ok, fail) in cases {
+            let mut p = base();
+            let before = format!("{p:?}");
+            let batch: Vec<EditOp> = ok.iter().cloned().chain([fail]).collect();
+            apply_edits(&mut p, &batch).unwrap_err();
+            assert_eq!(format!("{p:?}"), before, "{batch:?}");
+            let mut fresh = base();
+            let applied = apply_edits(&mut p, &ok).expect("the names are free again");
+            assert_eq!(applied, apply_edits(&mut fresh, &ok).expect("apply"), "{ok:?}");
+            assert_eq!(format!("{p:?}"), format!("{fresh:?}"), "{ok:?}");
+            assert_eq!(print_program(&p), print_program(&fresh), "{ok:?}");
+        }
     }
 
     #[test]

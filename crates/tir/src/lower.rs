@@ -20,7 +20,7 @@ use crate::stmt::{Callee, Command, Cond, Operand, Stmt};
 
 /// The program-wide name index: classes, globals, live free functions and
 /// every allocation site ever declared. A [`Program`] shares it behind an
-/// [`Arc`] with its clones (every edit batch clones its program), and
+/// [`Arc`] with its clones and with an edit batch's rollback record, and
 /// copies it on the first declaration.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Names {

@@ -433,71 +433,52 @@ impl Stmt {
         }
     }
 
-    /// Finds the tree path (sequence of child indices) leading to `target`.
+    /// Iterates over every command id in this statement tree, in program
+    /// order, invoking `f` on each with its tree path (sequence of child
+    /// indices) in one walk.
     ///
     /// Child indices: `Seq` children are numbered positionally; `If` and
     /// `Choice` use 0 for then/left and 1 for else/right; `While`/`Loop`
     /// bodies are child 0.
-    pub fn path_to(&self, target: CmdId) -> Option<Vec<usize>> {
-        fn go(s: &Stmt, target: CmdId, path: &mut Vec<usize>) -> bool {
+    pub fn for_each_cmd_path(&self, f: &mut impl FnMut(CmdId, &[usize])) {
+        fn go(s: &Stmt, path: &mut Vec<usize>, f: &mut impl FnMut(CmdId, &[usize])) {
+            let mut child = |i: usize, c: &Stmt, path: &mut Vec<usize>| {
+                path.push(i);
+                go(c, path, f);
+                path.pop();
+            };
             match s {
                 Stmt::Seq(ss) => {
-                    for (i, child) in ss.iter().enumerate() {
-                        path.push(i);
-                        if go(child, target, path) {
-                            return true;
-                        }
-                        path.pop();
+                    for (i, c) in ss.iter().enumerate() {
+                        child(i, c, path);
                     }
-                    false
                 }
-                Stmt::If { then_br, else_br, .. } => {
-                    path.push(0);
-                    if go(then_br, target, path) {
-                        return true;
-                    }
-                    path.pop();
-                    path.push(1);
-                    if go(else_br, target, path) {
-                        return true;
-                    }
-                    path.pop();
-                    false
+                Stmt::If { then_br: a, else_br: b, .. } | Stmt::Choice(a, b) => {
+                    child(0, a, path);
+                    child(1, b, path);
                 }
-                Stmt::While { body, .. } | Stmt::Loop(body) => {
-                    path.push(0);
-                    if go(body, target, path) {
-                        return true;
-                    }
-                    path.pop();
-                    false
-                }
-                Stmt::Choice(a, b) => {
-                    path.push(0);
-                    if go(a, target, path) {
-                        return true;
-                    }
-                    path.pop();
-                    path.push(1);
-                    if go(b, target, path) {
-                        return true;
-                    }
-                    path.pop();
-                    false
-                }
-                Stmt::Skip => false,
-                Stmt::Cmd(c) => *c == target,
+                Stmt::While { body, .. } | Stmt::Loop(body) => child(0, body, path),
+                Stmt::Skip => {}
+                Stmt::Cmd(c) => f(*c, path),
             }
         }
-        let mut path = Vec::new();
-        if go(self, target, &mut path) {
-            Some(path)
-        } else {
-            None
-        }
+        go(self, &mut Vec::new(), f);
     }
 
-    /// The child statement at index `i` (see [`Stmt::path_to`] numbering).
+    /// Finds the tree path leading to `target` (see
+    /// [`Stmt::for_each_cmd_path`] numbering).
+    pub fn path_to(&self, target: CmdId) -> Option<Vec<usize>> {
+        let mut found = None;
+        self.for_each_cmd_path(&mut |c, path| {
+            if c == target && found.is_none() {
+                found = Some(path.to_vec());
+            }
+        });
+        found
+    }
+
+    /// The child statement at index `i` (see [`Stmt::for_each_cmd_path`]
+    /// numbering).
     ///
     /// # Panics
     ///
@@ -583,6 +564,23 @@ mod tests {
         assert_eq!(s.path_to(CmdId(1)), Some(vec![1, 0]));
         assert_eq!(s.path_to(CmdId(2)), Some(vec![1, 1, 1]));
         assert_eq!(s.path_to(CmdId(9)), None);
+    }
+
+    #[test]
+    fn for_each_cmd_path_numbers_every_node_kind() {
+        let s = Stmt::Seq(vec![
+            Stmt::Choice(Box::new(Stmt::Cmd(CmdId(0))), Box::new(Stmt::Cmd(CmdId(1)))),
+            Stmt::While { cond: Cond::True, body: Box::new(Stmt::Cmd(CmdId(2))) },
+            Stmt::Loop(Box::new(Stmt::Seq(vec![Stmt::Skip, Stmt::Cmd(CmdId(3))]))),
+        ]);
+        let mut seen = Vec::new();
+        s.for_each_cmd_path(&mut |c, path| seen.push((c, path.to_vec())));
+        let expected = [(0, vec![0, 0]), (1, vec![0, 1]), (2, vec![1, 0]), (3, vec![2, 0, 1])];
+        assert_eq!(seen, expected.map(|(c, p)| (CmdId(c), p)));
+        for (c, path) in &seen {
+            let leaf = path.iter().fold(&s, |s, &i| s.child(i));
+            assert_eq!(leaf, &Stmt::Cmd(*c), "child follows the same numbering");
+        }
     }
 
     #[test]

@@ -102,11 +102,15 @@ fn ground_truth_per_motif() {
 
 /// The scaled null corpus at several sizes: alarm count equals the
 /// generator's ground truth, so precision neither decays nor inflates
-/// with program size. Every candidate site is either refuted or an alarm
-/// (at scale 16: 64 sites, 45 refuted, 19 alarms).
+/// with program size. The front end proposes exactly four sites per
+/// module and the engine refutes exactly the pinned number, so a dropped
+/// candidate that would have been refuted fails too; every candidate
+/// site is either refuted or an alarm.
 #[test]
 fn ground_truth_on_scaled_corpus() {
-    for scale in [1, 2, 4, 6, 8, 16] {
+    // (scale, candidate sites, refuted sites)
+    let pinned = [(1, 4, 4), (2, 8, 6), (4, 16, 12), (6, 24, 18), (8, 32, 23), (16, 64, 45)];
+    for (scale, sites, refuted) in pinned {
         let program = apps::scale::scaled_null_program(scale);
         let expected = apps::scale::expected_null_alarms(scale);
         let t = Thresher::new(&program);
@@ -118,7 +122,8 @@ fn ground_truth_on_scaled_corpus() {
             report.describe(&program)
         );
         assert_eq!(report.edge_timeouts, 0, "scaled-{scale}: ran out of budget");
-        assert!(report.candidate_sites > expected, "scaled-{scale}: nothing was refuted");
+        assert_eq!(report.candidate_sites, sites, "scaled-{scale}: candidate sites");
+        assert_eq!(report.refuted_sites, refuted, "scaled-{scale}: refuted sites");
         assert_eq!(
             report.candidate_sites,
             report.refuted_sites + report.num_alarms(),
